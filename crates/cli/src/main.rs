@@ -453,6 +453,10 @@ fn cmd_traffic(args: &[String]) -> Result<(), String> {
     // space, two array loads per query. Past the compressed cap (or
     // under --arithmetic anywhere), the tableless de Bruijn shift
     // router takes over — no per-node storage at all, any d^D.
+    let witness = || {
+        spec.debruijn_witness()
+            .map_err(|e| format!("layout is not de Bruijn: {e}"))
+    };
     if options.dynamics.is_some() {
         // Link dynamics route through the repairable next-hop table,
         // built in de Bruijn rank space — where shift-routing rows
@@ -464,37 +468,30 @@ fn cmd_traffic(args: &[String]) -> Result<(), String> {
         // changed, then republishes the immutable snapshot workers
         // route by. The witness also resolves `rank:`-addressed
         // timeline events.
-        let witness = spec
-            .debruijn_witness()
-            .map_err(|e| format!("layout is not de Bruijn: {e}"))?;
+        let witness = witness()?;
         options.rank_witness = Some(witness.clone());
         let router = otis_core::RelabeledRouter::new(
             otis_core::DynamicRoutingTable::new(&DeBruijn::new(d, dd).digraph()),
             witness,
         );
-        return run_traffic_over(h, router, &workload, pattern, options, build_start);
+        return run_traffic(h, router, &workload, pattern, options, build_start);
     }
     if options.arithmetic || n > otis_digraph::compressed::CompressedNextHopTable::MAX_NODES as u64
     {
-        let witness = spec
-            .debruijn_witness()
-            .map_err(|e| format!("layout is not de Bruijn: {e}"))?;
         let router = otis_core::RelabeledRouter::new(
             otis_core::DeBruijnRouter::new(DeBruijn::new(d, dd)),
-            witness,
+            witness()?,
         );
-        run_traffic_over(h, router, &workload, pattern, options, build_start)
+        run_traffic(h, router, &workload, pattern, options, build_start)
     } else if n <= otis_digraph::bfs::NextHopTable::MAX_NODES as u64 {
         let router = otis_core::RoutingTable::try_from_family(&h).map_err(|e| e.to_string())?;
-        run_traffic_over(h, router, &workload, pattern, options, build_start)
+        run_traffic(h, router, &workload, pattern, options, build_start)
     } else {
-        let witness = spec
-            .debruijn_witness()
-            .map_err(|e| format!("layout is not de Bruijn: {e}"))?;
+        let witness = witness()?;
         let b = DeBruijn::new(d, dd);
         let table = otis_core::RoutingTable::try_from_debruijn(&b).map_err(|e| e.to_string())?;
         let router = otis_core::RelabeledRouter::new(table, witness);
-        run_traffic_over(h, router, &workload, pattern, options, build_start)
+        run_traffic(h, router, &workload, pattern, options, build_start)
     }
 }
 
@@ -505,11 +502,18 @@ enum Load {
     Groups(Vec<otis_optics::MulticastGroup>),
 }
 
-/// Traffic over one fabric with whichever router the scale picked:
-/// queueing simulation when any queueing flag was given, the batched
-/// static engine otherwise; unicast pairs or multicast trees per the
-/// pattern.
-fn run_traffic_over<R: otis_core::Router>(
+/// The engine a traffic run drives: the batched static engine, or the
+/// cycle-accurate queueing simulator when any queueing flag was given.
+enum Engine<'s> {
+    Batched(otis_optics::TrafficEngine<'s>),
+    Queueing(otis_optics::QueueingEngine),
+}
+
+/// Traffic over one fabric with whichever router the scale picked,
+/// through the batched or the queueing engine, for unicast pairs or
+/// multicast trees per the pattern. The router line prints once; only
+/// the engine call and the report lines branch.
+fn run_traffic<R: otis_core::Router>(
     h: otis_optics::HDigraph,
     router: R,
     load: &Load,
@@ -517,117 +521,143 @@ fn run_traffic_over<R: otis_core::Router>(
     options: TrafficOptions,
     build_start: std::time::Instant,
 ) -> Result<(), String> {
-    let source = match load {
-        Load::Groups(groups) => {
-            return if options.queueing {
-                run_queueing_multicast(&h, router, groups, pattern, options, build_start)
-            } else {
-                run_batched_multicast(&h, router, groups, pattern, options, build_start)
-            };
-        }
-        Load::Unicast(source) => source,
-    };
-    if options.queueing {
-        return run_queueing_traffic(&h, router, source, pattern, options, build_start);
-    }
-
-    let sim = otis_optics::simulator::OtisSimulator::with_defaults(h);
-    let engine = otis_optics::TrafficEngine::new(&sim);
-    println!(
-        "router: {} (table + physics precomputed in {:.1} ms)",
-        otis_core::Router::name(&router),
-        build_start.elapsed().as_secs_f64() * 1e3
-    );
-
-    let run_start = std::time::Instant::now();
-    let report = engine.run_streamed(&router, source);
-    let elapsed = run_start.elapsed();
-
-    println!(
-        "routed {} {pattern} packets in {:.1} ms ({:.2} Mpkt/s)",
-        report.packets,
-        elapsed.as_secs_f64() * 1e3,
-        report.packets as f64 / elapsed.as_secs_f64() / 1e6
-    );
-    println!(
-        "  delivered         : {} ({:.2}%)",
-        report.delivered,
-        report.delivery_rate() * 100.0
-    );
-    println!(
-        "  hops              : mean {:.2}, max {}",
-        report.mean_hops(),
-        report.max_hops
-    );
-    println!(
-        "  link congestion   : max {} (empirical forwarding index), mean {:.1}",
-        report.max_link_load,
-        report.mean_link_load()
-    );
-    println!(
-        "  latency           : mean {:.0} ps, p50 {:.0} ps, p99 {:.0} ps, max {:.0} ps",
-        report.latency_mean_ps, report.latency_p50_ps, report.latency_p99_ps, report.latency_max_ps
-    );
-    println!(
-        "  energy            : {:.1} pJ/packet, {:.2} nJ total",
-        report.mean_energy_pj(),
-        report.energy_total_pj / 1e3
-    );
-    println!(
-        "  link budgets      : {}",
-        if report.all_budgets_close {
-            "all close"
-        } else {
-            "SOME DO NOT CLOSE"
-        }
-    );
-    Ok(())
-}
-
-/// The queueing side of `otis traffic`: cycle-accurate simulation
-/// with finite buffers and wavelength channels, optionally adaptive,
-/// optionally sweeping offered load for the saturation curve.
-fn run_queueing_traffic<R: otis_core::Router>(
-    h: &otis_optics::HDigraph,
-    router: R,
-    source: &otis_optics::WorkloadSource,
-    pattern: otis_optics::TrafficPattern,
-    options: TrafficOptions,
-    build_start: std::time::Instant,
-) -> Result<(), String> {
     use otis_core::Router;
+    use otis_optics::ContentionPolicy::{Backpressure, TailDrop};
 
-    let n = otis_core::DigraphFamily::node_count(h);
-    let mut engine = otis_optics::QueueingEngine::from_family(h, options.config);
-    if let Some(spec) = options.dynamics.clone() {
-        engine.try_set_dynamics_relabeled(
-            spec,
-            options.stranded,
-            options.rank_witness.as_deref(),
-        )?;
-    }
-    let (oblivious, adaptive);
-    let routed: &dyn Router = if options.adaptive {
-        adaptive = otis_core::AdaptiveRouter::new(router, engine.occupancy())
-            .with_dateline(engine.dateline());
-        &adaptive
+    let n = otis_core::DigraphFamily::node_count(&h);
+    let sim;
+    let engine = if options.queueing {
+        let mut engine = otis_optics::QueueingEngine::from_family(&h, options.config);
+        if let Some(spec) = options.dynamics.clone() {
+            engine.try_set_dynamics_relabeled(
+                spec,
+                options.stranded,
+                options.rank_witness.as_deref(),
+            )?;
+        }
+        Engine::Queueing(engine)
     } else {
-        oblivious = router;
-        &oblivious
+        sim = otis_optics::simulator::OtisSimulator::with_defaults(h);
+        Engine::Batched(otis_optics::TrafficEngine::new(&sim))
+    };
+    let (oblivious, adaptive);
+    let routed: &dyn Router = match &engine {
+        Engine::Queueing(engine) if options.adaptive => {
+            adaptive = otis_core::AdaptiveRouter::new(router, engine.occupancy())
+                .with_dateline(engine.dateline());
+            &adaptive
+        }
+        _ => {
+            oblivious = router;
+            &oblivious
+        }
     };
     println!(
-        "router: {} (built in {:.1} ms)",
+        "router: {} ({} in {:.1} ms)",
         routed.name(),
+        match engine {
+            Engine::Batched(_) => "table + physics precomputed",
+            Engine::Queueing(_) => "built",
+        },
         build_start.elapsed().as_secs_f64() * 1e3
     );
+
+    let engine = match (&engine, load) {
+        (Engine::Batched(engine), Load::Unicast(source)) => {
+            let run_start = std::time::Instant::now();
+            let report = engine.run_streamed(routed, source);
+            let elapsed = run_start.elapsed();
+            println!(
+                "routed {} {pattern} packets in {:.1} ms ({:.2} Mpkt/s)",
+                report.packets,
+                elapsed.as_secs_f64() * 1e3,
+                report.packets as f64 / elapsed.as_secs_f64() / 1e6
+            );
+            println!(
+                "  delivered         : {} ({:.2}%)",
+                report.delivered,
+                report.delivery_rate() * 100.0
+            );
+            println!(
+                "  hops              : mean {:.2}, max {}",
+                report.mean_hops(),
+                report.max_hops
+            );
+            println!(
+                "  link congestion   : max {} (empirical forwarding index), mean {:.1}",
+                report.max_link_load,
+                report.mean_link_load()
+            );
+            println!(
+                "  latency           : mean {:.0} ps, p50 {:.0} ps, p99 {:.0} ps, max {:.0} ps",
+                report.latency_mean_ps,
+                report.latency_p50_ps,
+                report.latency_p99_ps,
+                report.latency_max_ps
+            );
+            println!(
+                "  energy            : {:.1} pJ/packet, {:.2} nJ total",
+                report.mean_energy_pj(),
+                report.energy_total_pj / 1e3
+            );
+            print_budgets(report.all_budgets_close);
+            return Ok(());
+        }
+        (Engine::Batched(engine), Load::Groups(groups)) => {
+            let run_start = std::time::Instant::now();
+            let report = engine.run_multicast(routed, groups);
+            let elapsed = run_start.elapsed();
+            println!(
+                "routed {} {pattern} trees ({} destination leaves) in {:.1} ms ({:.2} Mleaf/s)",
+                report.groups,
+                report.leaves,
+                elapsed.as_secs_f64() * 1e3,
+                report.leaves as f64 / elapsed.as_secs_f64() / 1e6
+            );
+            println!(
+                "  delivered         : {} leaves ({:.2}%)",
+                report.delivered_leaves,
+                report.delivery_rate() * 100.0
+            );
+            println!(
+                "  tree arcs         : {} ({:.1} per tree, depth ≤ {}), vs {} unicast hops — \
+                 {:.2}× replication saving",
+                report.tree_arcs,
+                report.mean_tree_arcs(),
+                report.max_depth,
+                report.unicast_hops,
+                report.replication_saving()
+            );
+            println!(
+                "  forwarding index  : multicast {} (max trees per link) vs unicast {}",
+                report.multicast_forwarding_index, report.unicast_forwarding_index
+            );
+            println!(
+                "  latency           : mean {:.0} ps, p50 {:.0} ps, p99 {:.0} ps, max {:.0} ps \
+                 (per leaf)",
+                report.latency_mean_ps,
+                report.latency_p50_ps,
+                report.latency_p99_ps,
+                report.latency_max_ps
+            );
+            println!(
+                "  energy            : {:.2} nJ total — charged per tree arc, not per leaf",
+                report.energy_total_pj / 1e3
+            );
+            print_budgets(report.all_budgets_close);
+            return Ok(());
+        }
+        (Engine::Queueing(engine), _) => engine,
+    };
+
     println!(
         "queueing: {} virtual channel(s) × {} buffers, {} wavelength(s) per link, {} on full buffers",
         options.config.vcs,
         options.config.buffers,
         options.config.wavelengths,
         match options.config.policy {
-            otis_optics::ContentionPolicy::Backpressure => "backpressure",
-            otis_optics::ContentionPolicy::TailDrop => "tail-drop",
+            Backpressure => "backpressure",
+            TailDrop => "tail-drop",
         }
     );
     if options.config.vcs >= 2 {
@@ -636,13 +666,11 @@ fn run_queueing_traffic<R: otis_core::Router>(
             engine.dateline().wrap_arc_count(),
             engine.link_count(),
             match options.config.policy {
-                otis_optics::ContentionPolicy::Backpressure =>
-                    " — backpressure is deadlock-free by construction",
-                otis_optics::ContentionPolicy::TailDrop => "",
+                Backpressure => " — backpressure is deadlock-free by construction",
+                TailDrop => "",
             }
         );
     }
-
     if options.dynamics.is_some() {
         println!(
             "dynamics: timeline armed — stranded packets {}",
@@ -654,7 +682,8 @@ fn run_queueing_traffic<R: otis_core::Router>(
         );
     }
 
-    if options.sweep {
+    // Sweeps are unicast-only (`cmd_traffic` rejects one-to-many ones).
+    if let (true, Load::Unicast(source)) = (options.sweep, load) {
         let mut loads = vec![0.02, 0.05, 0.1, 0.2, 0.4, 0.8];
         if options.load_set && !loads.contains(&options.load_per_node) {
             loads.push(options.load_per_node);
@@ -684,7 +713,12 @@ fn run_queueing_traffic<R: otis_core::Router>(
 
     let offered = options.load_per_node * n as f64;
     let run_start = std::time::Instant::now();
-    let report = engine.run_streamed_classified(routed, source, offered, pattern.hot_node(n));
+    let report = match load {
+        Load::Unicast(source) => {
+            engine.run_streamed_classified(routed, source, offered, pattern.hot_node(n))
+        }
+        Load::Groups(groups) => engine.run_multicast(routed, groups, offered),
+    };
     let elapsed = run_start.elapsed();
     if !report.dynamics_consistent() {
         return Err(format!(
@@ -696,15 +730,49 @@ fn run_queueing_traffic<R: otis_core::Router>(
             report.in_flight
         ));
     }
-    println!(
-        "simulated {} {pattern} packets over {} cycles in {:.1} ms (offered {:.3}/node/cycle)",
-        report.injected,
-        report.cycles,
-        elapsed.as_secs_f64() * 1e3,
-        options.load_per_node
-    );
-    print_queueing_body(&report, &options, "packets");
+    let unit = match load {
+        Load::Unicast(_) => {
+            println!(
+                "simulated {} {pattern} packets over {} cycles in {:.1} ms (offered {:.3}/node/cycle)",
+                report.injected,
+                report.cycles,
+                elapsed.as_secs_f64() * 1e3,
+                options.load_per_node
+            );
+            "packets"
+        }
+        Load::Groups(_) => {
+            println!(
+                "simulated {} {pattern} trees ({} destination leaves) over {} cycles in {:.1} ms \
+                 (offered {:.3} trees/node/cycle)",
+                report.multicast_groups,
+                report.injected,
+                report.cycles,
+                elapsed.as_secs_f64() * 1e3,
+                options.load_per_node
+            );
+            println!(
+                "  multicast         : forwarding index {} (max trees per link, each tree arc \
+                 charged once), {} replicated copies",
+                report.multicast_forwarding_index, report.replicated_copies
+            );
+            "leaves"
+        }
+    };
+    print_queueing_body(&report, &options, unit);
     Ok(())
+}
+
+/// The closing line of a batched report.
+fn print_budgets(all_close: bool) {
+    println!(
+        "  link budgets      : {}",
+        if all_close {
+            "all close"
+        } else {
+            "SOME DO NOT CLOSE"
+        }
+    );
 }
 
 /// The shared body of a queueing report printout; `unit` names what
@@ -777,13 +845,11 @@ fn print_queueing_body(report: &otis_optics::QueueingReport, options: &TrafficOp
             report.link_down_events, report.link_up_events, report.capacity_events
         );
         if !report.time_to_reroute_cycles.is_empty() {
-            let mut ttr = report.time_to_reroute_cycles.clone();
-            ttr.sort_unstable();
             print!(
                 "  time to reroute   : p50 {} cy, max {} cy ({} of {} deaths rerouted",
-                ttr[ttr.len() / 2],
-                ttr[ttr.len() - 1],
-                ttr.len(),
+                report.time_to_reroute_percentile(0.5),
+                report.time_to_reroute_percentile(1.0),
+                report.time_to_reroute_cycles.len(),
                 report.link_down_events,
             );
             if report.reroute_unresolved > 0 {
@@ -843,134 +909,6 @@ fn print_queueing_body(report: &otis_optics::QueueingReport, options: &TrafficOp
         show("hot class", &stats.hot);
         show("background class", &stats.background);
     }
-}
-
-/// The queueing side of a one-to-many `otis traffic` run: delivery
-/// trees with in-fabric replication through the cycle-accurate
-/// engine, reported in destination-leaf units plus the multicast
-/// forwarding index.
-fn run_queueing_multicast<R: otis_core::Router>(
-    h: &otis_optics::HDigraph,
-    router: R,
-    groups: &[otis_optics::MulticastGroup],
-    pattern: otis_optics::TrafficPattern,
-    options: TrafficOptions,
-    build_start: std::time::Instant,
-) -> Result<(), String> {
-    let n = otis_core::DigraphFamily::node_count(h);
-    let engine = otis_optics::QueueingEngine::from_family(h, options.config);
-    println!(
-        "router: {} (built in {:.1} ms)",
-        otis_core::Router::name(&router),
-        build_start.elapsed().as_secs_f64() * 1e3
-    );
-    println!(
-        "queueing: {} virtual channel(s) × {} buffers, {} wavelength(s) per link, {} on full buffers",
-        options.config.vcs,
-        options.config.buffers,
-        options.config.wavelengths,
-        match options.config.policy {
-            otis_optics::ContentionPolicy::Backpressure => "backpressure",
-            otis_optics::ContentionPolicy::TailDrop => "tail-drop",
-        }
-    );
-    if options.config.vcs >= 2 {
-        println!(
-            "dateline: {} wrap arcs of {}{}",
-            engine.dateline().wrap_arc_count(),
-            engine.link_count(),
-            match options.config.policy {
-                otis_optics::ContentionPolicy::Backpressure =>
-                    " — backpressure is deadlock-free by construction",
-                otis_optics::ContentionPolicy::TailDrop => "",
-            }
-        );
-    }
-    let offered = options.load_per_node * n as f64;
-    let run_start = std::time::Instant::now();
-    let report = engine.run_multicast(&router, groups, offered);
-    let elapsed = run_start.elapsed();
-    println!(
-        "simulated {} {pattern} trees ({} destination leaves) over {} cycles in {:.1} ms \
-         (offered {:.3} trees/node/cycle)",
-        report.multicast_groups,
-        report.injected,
-        report.cycles,
-        elapsed.as_secs_f64() * 1e3,
-        options.load_per_node
-    );
-    println!(
-        "  multicast         : forwarding index {} (max trees per link, each tree arc charged \
-         once), {} replicated copies",
-        report.multicast_forwarding_index, report.replicated_copies
-    );
-    print_queueing_body(&report, &options, "leaves");
-    Ok(())
-}
-
-/// The batched side of a one-to-many `otis traffic` run: static tree
-/// routing, multicast versus unicast forwarding indices, per-leaf
-/// latency and per-arc energy.
-fn run_batched_multicast<R: otis_core::Router>(
-    h: &otis_optics::HDigraph,
-    router: R,
-    groups: &[otis_optics::MulticastGroup],
-    pattern: otis_optics::TrafficPattern,
-    _options: TrafficOptions,
-    build_start: std::time::Instant,
-) -> Result<(), String> {
-    let sim = otis_optics::simulator::OtisSimulator::with_defaults(*h);
-    let engine = otis_optics::TrafficEngine::new(&sim);
-    println!(
-        "router: {} (table + physics precomputed in {:.1} ms)",
-        otis_core::Router::name(&router),
-        build_start.elapsed().as_secs_f64() * 1e3
-    );
-    let run_start = std::time::Instant::now();
-    let report = engine.run_multicast(&router, groups);
-    let elapsed = run_start.elapsed();
-    println!(
-        "routed {} {pattern} trees ({} destination leaves) in {:.1} ms ({:.2} Mleaf/s)",
-        report.groups,
-        report.leaves,
-        elapsed.as_secs_f64() * 1e3,
-        report.leaves as f64 / elapsed.as_secs_f64() / 1e6
-    );
-    println!(
-        "  delivered         : {} leaves ({:.2}%)",
-        report.delivered_leaves,
-        report.delivery_rate() * 100.0
-    );
-    println!(
-        "  tree arcs         : {} ({:.1} per tree, depth ≤ {}), vs {} unicast hops — {:.2}× \
-         replication saving",
-        report.tree_arcs,
-        report.mean_tree_arcs(),
-        report.max_depth,
-        report.unicast_hops,
-        report.replication_saving()
-    );
-    println!(
-        "  forwarding index  : multicast {} (max trees per link) vs unicast {}",
-        report.multicast_forwarding_index, report.unicast_forwarding_index
-    );
-    println!(
-        "  latency           : mean {:.0} ps, p50 {:.0} ps, p99 {:.0} ps, max {:.0} ps (per leaf)",
-        report.latency_mean_ps, report.latency_p50_ps, report.latency_p99_ps, report.latency_max_ps
-    );
-    println!(
-        "  energy            : {:.2} nJ total — charged per tree arc, not per leaf",
-        report.energy_total_pj / 1e3
-    );
-    println!(
-        "  link budgets      : {}",
-        if report.all_budgets_close {
-            "all close"
-        } else {
-            "SOME DO NOT CLOSE"
-        }
-    );
-    Ok(())
 }
 
 fn cmd_sequence(args: &[String]) -> Result<(), String> {

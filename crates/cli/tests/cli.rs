@@ -416,6 +416,154 @@ fn traffic_sweep_includes_an_explicit_load_point() {
     assert!(text.contains("0.300"), "user's load point missing: {text}");
 }
 
+/// A B(2,8) backpressure hotspot run under `extra` dynamics flags.
+fn dynamics_run(extra: &[&str]) -> Output {
+    let mut args = vec![
+        "traffic",
+        "2",
+        "8",
+        "hotspot",
+        "3000",
+        "--vcs",
+        "2",
+        "--buffers",
+        "4",
+        "--policy",
+        "backpressure",
+        "--load",
+        "0.4",
+    ];
+    args.extend_from_slice(extra);
+    otis(&args)
+}
+
+#[test]
+fn traffic_dynamics_reports_the_lines_ci_greps() {
+    // A four-node storm kills (and later revives) all 8 out-beams of
+    // nodes 100..=103; the run repairs online and reinjects.
+    let out = dynamics_run(&["--dynamics", "storm@20:100-103:60"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("router: relabeled(dynamic-table("), "{text}");
+    assert!(
+        text.contains("dynamics: timeline armed — stranded packets reinject"),
+        "{text}"
+    );
+    assert!(
+        text.contains("  link dynamics     : 8 deaths, 8 revivals, "),
+        "{text}"
+    );
+    assert!(text.contains("  time to reroute   : p50 "), "{text}");
+    assert!(text.contains("  online repair     : 16 events, "), "{text}");
+    assert!(text.contains("  route snapshots   : "), "{text}");
+}
+
+#[test]
+fn traffic_dynamics_resolves_rank_addressed_links() {
+    // The same storm shape named in de Bruijn ranks, translated to
+    // the OTIS fabric through the layout's isomorphism witness.
+    let out = dynamics_run(&["--dynamics", "storm@20:rank:0-3:60"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("  link dynamics     : 8 deaths, 8 revivals, "),
+        "{text}"
+    );
+    assert!(text.contains("  route snapshots   : "), "{text}");
+}
+
+#[test]
+fn traffic_dynamics_stranded_drop_never_reinjects() {
+    let out = otis(&[
+        "traffic",
+        "2",
+        "8",
+        "uniform",
+        "2000",
+        "--load",
+        "0.3",
+        "--dynamics",
+        "randfades@3:2:50:40",
+        "--stranded",
+        "drop",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("dynamics: timeline armed — stranded packets drop"),
+        "{text}"
+    );
+    assert!(text.contains("  link dynamics     : 2 deaths, "), "{text}");
+    // One queued packet is caught by a death, and drop policy never
+    // re-places it.
+    assert!(
+        text.contains("  stranded packets  : 0 reinjected, 1 dropped"),
+        "{text}"
+    );
+}
+
+#[test]
+fn traffic_dynamics_rejects_incompatible_flags() {
+    let out = otis(&["traffic", "2", "6", "uniform", "100", "--stranded", "drop"]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("--stranded only matters under --dynamics"),
+        "{}",
+        stderr(&out)
+    );
+
+    let storm = "storm@5:0-3:10";
+    let out = otis(&[
+        "traffic",
+        "2",
+        "6",
+        "multicast:4",
+        "100",
+        "--dynamics",
+        storm,
+    ]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("--dynamics applies to unicast queueing runs only"),
+        "{}",
+        stderr(&out)
+    );
+
+    let out = otis(&[
+        "traffic",
+        "2",
+        "6",
+        "uniform",
+        "100",
+        "--dynamics",
+        storm,
+        "--sweep",
+    ]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("--dynamics and --sweep are mutually exclusive"),
+        "{}",
+        stderr(&out)
+    );
+
+    let out = otis(&[
+        "traffic",
+        "2",
+        "6",
+        "uniform",
+        "100",
+        "--dynamics",
+        storm,
+        "--arithmetic",
+    ]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("drop --arithmetic"),
+        "{}",
+        stderr(&out)
+    );
+}
+
 #[test]
 fn sequence_is_checked_and_printed() {
     let out = otis(&["sequence", "2", "4"]);

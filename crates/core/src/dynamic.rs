@@ -14,9 +14,12 @@
 //! The engine-facing half is [`RouteRepair`]: a queueing engine with a
 //! link-dynamics timeline asks its router for this capability
 //! ([`Router::as_repair`]) and, when present, feeds each death/revival
-//! through [`RouteRepair::apply_link_event`] on the sequential slot of
-//! its cycle loop — workers are parked at a phase barrier, so the
-//! write lock is uncontended in practice.
+//! through [`RouteRepair::apply_link_event_deferred`] on the sequential
+//! slot of its cycle loop, then calls [`RouteRepair::publish_deferred`]
+//! once per same-cycle batch — workers are parked at a phase barrier,
+//! so the write lock is uncontended in practice. Standalone callers use
+//! [`RouteRepair::apply_link_event`], which is that same pair for a
+//! batch of one.
 //!
 //! Reads, by contrast, never touch that lock: every row-changing
 //! repair **publishes** an immutable [`RouteSnapshot`] (a compact CSR
@@ -35,34 +38,38 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// The online-repair capability a dynamics-driving engine consumes.
 ///
-/// Implementations patch their routing state so that, after the call
-/// returns, every query answers for the new survivor fabric. Calls
-/// happen on the engine's sequential slot (no routing queries in
-/// flight), once per link transition across zero capacity.
+/// Implementations patch their routing state so that, once the patch
+/// is published, every query answers for the new survivor fabric.
+/// Calls happen on the engine's sequential slot (no routing queries in
+/// flight), once per link transition across zero capacity. There is
+/// one repair path: events are applied deferred and published per
+/// batch; [`Self::apply_link_event`] is a batch of one.
 pub trait RouteRepair: Sync {
     /// The link `from → to` died (`alive = false`) or revived
-    /// (`alive = true`); repair and return what the repair cost.
-    /// A no-op transition (unknown link, already in that state) costs
-    /// [`RepairStats::default`].
-    fn apply_link_event(&self, from: u64, to: u64, alive: bool) -> RepairStats;
-
-    /// As [`Self::apply_link_event`] but *without* refreshing the
-    /// published read snapshot. An engine applying a batch of
-    /// same-cycle events (a 16-beam storm crossing zero at once) calls
-    /// this per event and [`Self::publish_deferred`] once at the end
-    /// of the batch, paying one snapshot instead of sixteen. Routing
-    /// queries must not run between a deferred event and its
-    /// publication — the engine's sequential slot guarantees that.
-    /// The default forwards to the eager path (publish per event),
-    /// which is always correct, just slower.
-    fn apply_link_event_deferred(&self, from: u64, to: u64, alive: bool) -> RepairStats {
-        self.apply_link_event(from, to, alive)
+    /// (`alive = true`): repair, publish, and return what the repair
+    /// cost. [`Self::apply_link_event_deferred`] followed by
+    /// [`Self::publish_deferred`].
+    fn apply_link_event(&self, from: u64, to: u64, alive: bool) -> RepairStats {
+        let stats = self.apply_link_event_deferred(from, to, alive);
+        self.publish_deferred();
+        stats
     }
+
+    /// Repair for the event `from → to` (`alive` as in
+    /// [`Self::apply_link_event`]) *without* refreshing the published
+    /// read snapshot. An engine applying a batch of same-cycle events
+    /// (a 16-beam storm crossing zero at once) calls this per event
+    /// and [`Self::publish_deferred`] once at the end of the batch,
+    /// paying one snapshot instead of sixteen. Routing queries must not
+    /// run between a deferred event and its publication — the engine's
+    /// sequential slot guarantees that. A no-op transition (unknown
+    /// link, already in that state) costs [`RepairStats::default`].
+    fn apply_link_event_deferred(&self, from: u64, to: u64, alive: bool) -> RepairStats;
 
     /// Publish whatever [`Self::apply_link_event_deferred`] left
     /// pending; a no-op when nothing patched since the last
-    /// publication. The default (eager publication) never defers.
-    fn publish_deferred(&self) {}
+    /// publication.
+    fn publish_deferred(&self);
 
     /// Total runs currently stored — the denominator a report quotes
     /// repair costs against (a full rebuild rewrites all of them).
@@ -70,20 +77,16 @@ pub trait RouteRepair: Sync {
 
     /// Monotone counter that moves exactly when the published snapshot
     /// changes. Engines poll this once per cycle (one atomic load) and
-    /// call [`Self::published_snapshot`] only when it moved. The
-    /// default (a constant `0`) pairs with the default `None` snapshot:
-    /// no lock-free read path on offer.
-    fn snapshot_epoch(&self) -> u64 {
-        0
-    }
+    /// call [`Self::published_snapshot`] only when it moved.
+    fn snapshot_epoch(&self) -> u64;
 
-    /// The current epoch-published snapshot, if this implementation
-    /// offers lock-free reads. Fetching is cheap (`Arc` bumps plus one
-    /// uncontended mutex), but callers should still gate fetches on
-    /// [`Self::snapshot_epoch`] movement and cache the result.
-    fn published_snapshot(&self) -> Option<RouteSnapshot> {
-        None
-    }
+    /// The current epoch-published snapshot, or `None` when this
+    /// implementation offers no lock-free read view (the engine then
+    /// routes every query through [`Router::next_hop`]). Fetching is
+    /// cheap (`Arc` bumps plus one uncontended mutex), but callers
+    /// should still gate fetches on [`Self::snapshot_epoch`] movement
+    /// and cache the result.
+    fn published_snapshot(&self) -> Option<RouteSnapshot>;
 }
 
 /// An immutable, epoch-stamped view of a repairable router's current
@@ -173,14 +176,15 @@ impl RouteSnapshot {
 pub struct DynamicRoutingTable {
     inner: RwLock<RepairableNextHopTable>,
     /// The epoch-published immutable read view; replaced (never
-    /// mutated) by [`RouteRepair::apply_link_event`] whenever a repair
-    /// patched at least one row. The mutex only guards the `Arc` swap
-    /// — readers clone out and drop the guard immediately.
+    /// mutated) by [`RouteRepair::publish_deferred`] whenever a repair
+    /// since the last publication patched at least one row. The mutex
+    /// only guards the `Arc` swap — readers clone out and drop the
+    /// guard immediately.
     published: Mutex<Arc<CompressedNextHopTable>>,
     /// Bumps with every publication; readers poll this to learn their
     /// cached snapshot went stale.
     epoch: AtomicU64,
-    /// A deferred-mode repair patched rows since the last publication
+    /// A repair patched rows since the last publication
     /// ([`RouteRepair::publish_deferred`] drains it).
     pending: AtomicBool,
     label: String,
@@ -230,38 +234,31 @@ impl DynamicRoutingTable {
     /// Kill/revive one arc by *arc index* of the underlying digraph —
     /// the hook hardware-fault wrappers use where endpoint pairs are
     /// ambiguous (parallel beams implement distinct arcs between the
-    /// same node pair). Publishes a fresh snapshot exactly like
+    /// same node pair). Publishes exactly like
     /// [`RouteRepair::apply_link_event`]. Panics on an out-of-range
     /// arc index.
     pub fn apply_arc_event(&self, arc: usize, alive: bool) -> RepairStats {
-        let mut table = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let stats = table.set_arc_alive(arc, alive);
-        self.publish_if_patched(&table, &stats);
+        let stats = self.repair_deferred(|table| table.set_arc_alive(arc, alive));
+        self.publish_deferred();
         stats
     }
 
-    /// Re-publish the read view after a repair that changed at least
-    /// one row. Callers hold the write lock, so a reader that observes
-    /// the bumped epoch can only fetch the fresh snapshot.
-    fn publish_if_patched(&self, table: &RepairableNextHopTable, stats: &RepairStats) {
-        if stats.rows_patched == 0 {
-            return;
+    /// Run one repair under the write lock and mark a publication
+    /// pending when it changed at least one row — the single deferred
+    /// repair path every event (endpoint- or arc-addressed) takes.
+    fn repair_deferred(
+        &self,
+        patch: impl FnOnce(&mut RepairableNextHopTable) -> RepairStats,
+    ) -> RepairStats {
+        let mut table = self.inner.write().unwrap_or_else(|e| e.into_inner());
+        let stats = patch(&mut table);
+        if stats.rows_patched > 0 {
+            // ORDERING: Relaxed — set and drained on the engine's
+            // sequential slot (no concurrent readers of the flag); the
+            // eventual publication does the Release hand-off.
+            self.pending.store(true, Ordering::Relaxed);
         }
-        self.publish(table);
-    }
-
-    /// Unconditionally snapshot `table` as the new read view and bump
-    /// the epoch.
-    fn publish(&self, table: &RepairableNextHopTable) {
-        let fresh = Arc::new(table.snapshot());
-        *self.published.lock().unwrap_or_else(|e| e.into_inner()) = fresh;
-        // ORDERING: Release pairs with the Acquire load in
-        // `snapshot_epoch` — a reader that sees the new epoch also
-        // sees the snapshot swap above. (Engine callers repair on
-        // their sequential slot with workers parked at a phase
-        // barrier, which already orders this; Release keeps
-        // standalone users correct too.)
-        self.epoch.fetch_add(1, Ordering::Release);
+        stats
     }
 }
 
@@ -315,43 +312,36 @@ impl Router for DynamicRoutingTable {
 }
 
 impl RouteRepair for DynamicRoutingTable {
-    fn apply_link_event(&self, from: u64, to: u64, alive: bool) -> RepairStats {
-        let mut table = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let n = table.node_count() as u64;
-        if from >= n || to >= n {
-            return RepairStats::default();
-        }
-        let stats = table
-            .set_link_alive(from as u32, to as u32, alive)
-            .unwrap_or_default();
-        self.publish_if_patched(&table, &stats);
-        stats
-    }
-
     fn apply_link_event_deferred(&self, from: u64, to: u64, alive: bool) -> RepairStats {
-        let mut table = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let n = table.node_count() as u64;
-        if from >= n || to >= n {
-            return RepairStats::default();
-        }
-        let stats = table
-            .set_link_alive(from as u32, to as u32, alive)
-            .unwrap_or_default();
-        if stats.rows_patched > 0 {
-            // ORDERING: Relaxed — set and drained on the engine's
-            // sequential slot (no concurrent readers of the flag); the
-            // eventual publication does the Release hand-off.
-            self.pending.store(true, Ordering::Relaxed);
-        }
-        stats
+        self.repair_deferred(|table| {
+            let n = table.node_count() as u64;
+            if from >= n || to >= n {
+                return RepairStats::default();
+            }
+            table
+                .set_link_alive(from as u32, to as u32, alive)
+                .unwrap_or_default()
+        })
     }
 
     fn publish_deferred(&self) {
         // ORDERING: Relaxed — same sequential-slot discipline as the
-        // store above.
-        if self.pending.swap(false, Ordering::Relaxed) {
-            self.publish(&self.read());
+        // store in `repair_deferred`.
+        if !self.pending.swap(false, Ordering::Relaxed) {
+            return;
         }
+        // Hold the read guard through the epoch bump, so no repair
+        // lands between the snapshot and its epoch.
+        let table = self.read();
+        let fresh = Arc::new(table.snapshot());
+        *self.published.lock().unwrap_or_else(|e| e.into_inner()) = fresh;
+        // ORDERING: Release pairs with the Acquire load in
+        // `snapshot_epoch` — a reader that sees the new epoch also
+        // sees the snapshot swap above. (Engine callers repair on
+        // their sequential slot with workers parked at a phase
+        // barrier, which already orders this; Release keeps
+        // standalone users correct too.)
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     fn repair_table_runs(&self) -> usize {
@@ -360,7 +350,7 @@ impl RouteRepair for DynamicRoutingTable {
 
     fn snapshot_epoch(&self) -> u64 {
         // ORDERING: Acquire pairs with the Release bump in
-        // `apply_link_event`: observing a new epoch implies the
+        // `publish_deferred`: observing a new epoch implies the
         // matching published snapshot is visible.
         self.epoch.load(Ordering::Acquire)
     }

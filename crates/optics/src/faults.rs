@@ -11,7 +11,7 @@
 //! arc-disjoint-ish alternatives per hop).
 
 use crate::HDigraph;
-use otis_core::{AdaptiveRouter, CongestionMap, DigraphFamily, DynamicRoutingTable, Router};
+use otis_core::{DigraphFamily, DynamicRoutingTable, Router};
 use otis_digraph::repair::RepairStats;
 use otis_digraph::{Digraph, DigraphBuilder};
 use serde::{Deserialize, Serialize};
@@ -89,14 +89,17 @@ pub fn surviving_digraph(h: &HDigraph, faults: &FaultSet) -> Digraph {
 /// [`FaultAwareRouter::revive_transmitter`] patch only the next-hop
 /// runs whose min-first-hop changed — no table rebuild — and land on
 /// exactly the table a fresh [`FaultAwareRouter::new`] over the same
-/// fault set would build. Bulk fault-set swaps still go through
-/// [`FaultAwareRouter::refresh`].
+/// fault set would build. A bulk fault-set swap is a fresh
+/// [`FaultAwareRouter::new`].
 ///
 /// The table rides [`DynamicRoutingTable`], so every repair also
 /// publishes an epoch-stamped [`otis_core::RouteSnapshot`] and
 /// [`Router::as_repair`] exposes the engine-facing repair hook —
 /// a fault-aware router dropped into a `--dynamics` queueing run gets
-/// the same lock-free snapshot reads as a bare dynamic table.
+/// the same lock-free snapshot reads as a bare dynamic table. Wrapped
+/// in an [`otis_core::AdaptiveRouter`], its candidate set already
+/// excludes dead beams, so the adaptive choice spreads load over
+/// surviving hardware only.
 pub struct FaultAwareRouter {
     table: DynamicRoutingTable,
     faults: FaultSet,
@@ -156,39 +159,37 @@ impl FaultAwareRouter {
         &self.faults
     }
 
-    /// Refresh-free single-beam fault: transmitter `t` dies, and only
+    /// Rebuild-free single-beam fault: transmitter `t` dies, and only
     /// the next-hop runs whose min-first-hop changed get patched.
     /// Returns the repair bill (a no-op if the beam was already dead
-    /// under some other fault).
+    /// under some other fault). A transmitter the fabric does not
+    /// have is a costless no-op that leaves the fault set unchanged.
     pub fn kill_transmitter(&mut self, t: u64) -> RepairStats {
+        let Some(&arc) = self.beam_arc.get(t as usize) else {
+            return RepairStats::default();
+        };
         if !self.faults.dead_transmitters.contains(&t) {
             self.faults.dead_transmitters.push(t);
         }
-        self.table.apply_arc_event(self.beam_arc[t as usize], false)
+        self.table.apply_arc_event(arc, false)
     }
 
-    /// Refresh-free single-beam revival: drop transmitter `t` from the
+    /// Rebuild-free single-beam revival: drop transmitter `t` from the
     /// fault set and, if no *other* fault still covers its beam (an
-    /// occluded lens, a dead receiver), patch the table back.
+    /// occluded lens, a dead receiver), patch the table back. An
+    /// out-of-range `t` is a costless no-op, as for
+    /// [`FaultAwareRouter::kill_transmitter`].
     pub fn revive_transmitter(&mut self, h: &HDigraph, t: u64) -> RepairStats {
         assert_eq!(h.name(), self.label, "revive must use the same fabric");
+        let Some(&arc) = self.beam_arc.get(t as usize) else {
+            return RepairStats::default();
+        };
         self.faults.dead_transmitters.retain(|&dead| dead != t);
         if self.faults.beam_alive(h, t) {
-            self.table.apply_arc_event(self.beam_arc[t as usize], true)
+            self.table.apply_arc_event(arc, true)
         } else {
             RepairStats::default()
         }
-    }
-
-    /// Recompute the table for a new fault set on the same fabric.
-    pub fn refresh(&mut self, h: &HDigraph, faults: FaultSet) {
-        assert_eq!(h.name(), self.label, "refresh must use the same fabric");
-        *self = FaultAwareRouter::new(h, faults);
-    }
-
-    /// Shortest surviving distance, if any.
-    pub fn surviving_distance(&self, src: u64, dst: u64) -> Option<u64> {
-        self.distance(src, dst)
     }
 
     /// The current next-hop rows as a static compressed table — the
@@ -196,13 +197,6 @@ impl FaultAwareRouter {
     /// build over the same fault set.
     pub fn snapshot(&self) -> otis_digraph::compressed::CompressedNextHopTable {
         self.table.snapshot()
-    }
-
-    /// Compose with contention awareness: an [`AdaptiveRouter`] whose
-    /// candidate set already excludes dead beams, so the adaptive
-    /// choice spreads load over *surviving* hardware only.
-    pub fn adaptive<C: CongestionMap>(self, congestion: C) -> AdaptiveRouter<Self, C> {
-        AdaptiveRouter::new(self, congestion)
     }
 }
 
@@ -406,8 +400,8 @@ mod tests {
     #[test]
     fn fault_aware_router_refresh_tracks_new_faults() {
         let h = fabric();
-        let mut router = FaultAwareRouter::new(&h, FaultSet::none());
-        let full_distance = router.surviving_distance(1, h.out_neighbor(1, 0));
+        let router = FaultAwareRouter::new(&h, FaultSet::none());
+        let full_distance = router.distance(1, h.out_neighbor(1, 0));
         assert_eq!(full_distance, Some(1));
         // Kill node 1's first transmitter: that 1-hop route must now
         // detour (or keep length 1 only via the other transceiver).
@@ -415,8 +409,8 @@ mod tests {
             dead_transmitters: vec![2],
             ..FaultSet::none()
         };
-        router.refresh(&h, faults);
-        let degraded = router.surviving_distance(1, h.out_neighbor(1, 0));
+        let router = FaultAwareRouter::new(&h, faults);
+        let degraded = router.distance(1, h.out_neighbor(1, 0));
         assert!(degraded.is_some(), "B(2,8) survives one arc loss");
         assert!(degraded.unwrap() >= 1);
     }
@@ -507,6 +501,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn out_of_range_transmitter_is_a_costless_no_op() {
+        let h = fabric();
+        let faults = FaultSet {
+            dead_transmitters: vec![42],
+            ..FaultSet::none()
+        };
+        let mut router = FaultAwareRouter::new(&h, faults.clone());
+        let before = router.snapshot();
+        let epoch = |r: &FaultAwareRouter| r.as_repair().expect("repairable").snapshot_epoch();
+        let epoch_before = epoch(&router);
+        let links = h.otis().link_count();
+        for t in [links, links + 1, u64::MAX] {
+            assert_eq!(router.kill_transmitter(t), RepairStats::default());
+            assert_eq!(router.revive_transmitter(&h, t), RepairStats::default());
+        }
+        assert_eq!(router.faults(), &faults, "fault ledger untouched");
+        assert_eq!(router.snapshot(), before);
+        assert_eq!(epoch(&router), epoch_before, "nothing published");
+        // An in-range transmitter still repairs normally.
+        assert!(router.kill_transmitter(7).rows_patched > 0);
     }
 
     #[test]

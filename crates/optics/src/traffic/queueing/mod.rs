@@ -492,11 +492,6 @@ pub struct QueueingEngine {
     dynamics: Option<(DynamicsSpec, dynamics::Timeline)>,
     /// What a run does with packets stranded by a link death.
     stranded: StrandedPolicy,
-    /// Route lock-free through the repairing router's published
-    /// epoch snapshot where legal (default). `false` forces every
-    /// next-hop query through the router's own locked path — kept as
-    /// the differential-testing oracle for the snapshot fast path.
-    snapshot_reads: bool,
     /// One counter per (arc, VC class), arc-major — the occupancy
     /// scoreboard behind [`LinkOccupancy`].
     counts: Arc<[AtomicU32]>,
@@ -565,7 +560,6 @@ impl QueueingEngine {
             config,
             dynamics: None,
             stranded: StrandedPolicy::default(),
-            snapshot_reads: true,
             counts: counts.into(),
             fade_penalty: fade_penalty.into(),
             dateline,
@@ -643,19 +637,6 @@ impl QueueingEngine {
     /// Remove a previously set dynamics timeline.
     pub fn clear_dynamics(&mut self) {
         self.dynamics = None;
-    }
-
-    /// Route drain/inject next-hop queries through the repairing
-    /// router's published epoch snapshot (lock-free) where legal.
-    /// Defaults to `true`; `false` forces the router's own locked
-    /// path on every query — the byte-identical oracle the snapshot
-    /// fast path is differentially tested against.
-    pub fn set_snapshot_reads(&mut self, enabled: bool) {
-        self.snapshot_reads = enabled;
-    }
-
-    pub(super) fn snapshot_reads(&self) -> bool {
-        self.snapshot_reads
     }
 
     pub(super) fn dynamics(&self) -> Option<&(DynamicsSpec, dynamics::Timeline)> {

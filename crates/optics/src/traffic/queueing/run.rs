@@ -667,11 +667,11 @@ pub(super) fn execute(
     // stateless hops over unicast work — adaptive routers score
     // congestion, not the raw table, and multicast never queries the
     // router mid-run — and only when the router actually publishes.
-    let repair: Option<&dyn RouteRepair> =
-        (engine.snapshot_reads() && stateless && trees.is_none())
-            .then(|| router.as_repair())
-            .flatten()
-            .filter(|repair| repair.published_snapshot().is_some());
+    // Everything else routes through the router's own (locked) path.
+    let repair: Option<&dyn RouteRepair> = (stateless && trees.is_none())
+        .then(|| router.as_repair())
+        .flatten()
+        .filter(|repair| repair.published_snapshot().is_some());
 
     // Link dynamics: the timeline was compiled once at `set_dynamics`;
     // seed every arc's capacity at full and open one time-to-reroute
@@ -800,8 +800,8 @@ pub(super) fn execute(
         repair_runs_patched: Vec::new(),
         repair_rows_patched: 0,
         // Publication accounting reads the router directly (not the
-        // gated `repair`), so the oracle mode — snapshot reads off —
-        // reports byte-identically to the fast path.
+        // gated `repair`), so a run on the locked read path reports
+        // byte-identically to the snapshot fast path.
         last_snapshot_epoch: router.as_repair().map_or(0, |r| r.snapshot_epoch()),
         snapshot_publications: 0,
         snapshot_runs_published: 0,
@@ -2033,7 +2033,7 @@ fn apply_dynamics(
             repair.publish_deferred();
             // A patching batch republishes the epoch snapshot; an
             // all-no-op batch leaves the epoch alone. Counted off the
-            // router itself (not the gated fast path), so oracle-mode
+            // router itself (not the gated fast path), so locked-path
             // reports stay byte-identical.
             let epoch = repair.snapshot_epoch();
             if epoch != main.last_snapshot_epoch {

@@ -498,6 +498,15 @@ impl QueueingReport {
         self.delivered_hops as f64 / self.delivered as f64
     }
 
+    /// Time-to-reroute at `fraction` (0.0..=1.0) over the resolved
+    /// link deaths, nearest-rank like every other percentile here:
+    /// p50 of `[3, 9]` is `3`. `0` when no death rerouted.
+    pub fn time_to_reroute_percentile(&self, fraction: f64) -> u64 {
+        let mut sorted = self.time_to_reroute_cycles.clone();
+        sorted.sort_unstable();
+        percentile_u64(&sorted, fraction)
+    }
+
     /// Packet conservation: everything injected is delivered, dropped,
     /// or still buffered. The queueing engine's core invariant.
     pub fn conserves_packets(&self) -> bool {
@@ -681,9 +690,8 @@ mod tests {
         assert_eq!(report.mean_energy_pj(), 6.0);
     }
 
-    #[test]
-    fn queueing_report_rates_on_empty_run() {
-        let report = QueueingReport {
+    fn empty_queueing_report() -> QueueingReport {
+        QueueingReport {
             router: "test".into(),
             offered_per_cycle: 1.0,
             cycles: 0,
@@ -725,7 +733,23 @@ mod tests {
             table_runs_total: 0,
             snapshot_publications: 0,
             snapshot_runs_published: 0,
+        }
+    }
+
+    #[test]
+    fn time_to_reroute_percentiles_are_nearest_rank() {
+        let report = QueueingReport {
+            time_to_reroute_cycles: vec![9, 3],
+            ..empty_queueing_report()
         };
+        assert_eq!(report.time_to_reroute_percentile(0.5), 3, "lower median");
+        assert_eq!(report.time_to_reroute_percentile(1.0), 9);
+        assert_eq!(empty_queueing_report().time_to_reroute_percentile(0.5), 0);
+    }
+
+    #[test]
+    fn queueing_report_rates_on_empty_run() {
+        let report = empty_queueing_report();
         assert_eq!(report.delivery_rate(), 1.0);
         assert_eq!(report.drop_rate(), 0.0);
         assert_eq!(report.throughput_per_cycle(), 0.0);

@@ -196,8 +196,7 @@ proptest! {
         // the surviving table, so no packet is ever offered a dead
         // beam; conservation must hold all the same.
         let engine = QueueingEngine::new(survivors, config);
-        let adaptive = FaultAwareRouter::new(&h, faults)
-            .adaptive(engine.occupancy())
+        let adaptive = AdaptiveRouter::new(FaultAwareRouter::new(&h, faults), engine.occupancy())
             .with_dateline(engine.dateline());
         let report = engine.run(&adaptive, &workload, 0.3 * n as f64);
         prop_assert!(report.conserves_packets(), "{report:?}");
@@ -607,8 +606,7 @@ fn adaptive_on_faulted_fabric_uses_only_surviving_beams() {
         max_cycles: 100_000,
     };
     let engine = QueueingEngine::new(survivors, config);
-    let adaptive = FaultAwareRouter::new(&h, faults)
-        .adaptive(engine.occupancy())
+    let adaptive = AdaptiveRouter::new(FaultAwareRouter::new(&h, faults), engine.occupancy())
         .with_dateline(engine.dateline());
     let report = engine.run(&adaptive, &workload, 0.2 * n as f64);
     assert!(report.conserves_packets());
@@ -1224,8 +1222,85 @@ fn streamed_chunk_seam_is_invisible_to_the_report() {
 // reroute with incremental next-hop repair.
 // ---------------------------------------------------------------
 
-use otis_core::DynamicRoutingTable;
+use otis_core::{Candidates, DynamicRoutingTable, RankedCandidates, RouteRepair, RouteSnapshot};
+use otis_digraph::repair::RepairStats;
 use otis_optics::{DynamicsSpec, StrandedPolicy};
+
+/// The locked-read oracle for the engine's epoch-snapshot fast path:
+/// forwards every [`Router`] and [`RouteRepair`] method to a dynamic
+/// table — repair, publication and epoch accounting included — except
+/// `published_snapshot`, which declines. The engine then has no
+/// snapshot to route by and sends every next-hop query through the
+/// table's own locked path.
+struct LockedReads<'a>(&'a DynamicRoutingTable);
+
+impl Router for LockedReads<'_> {
+    fn node_count(&self) -> u64 {
+        self.0.node_count()
+    }
+
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn next_hop(&self, current: u64, dst: u64) -> Option<u64> {
+        self.0.next_hop(current, dst)
+    }
+
+    fn next_hop_on_vc(&self, current: u64, dst: u64, vc: u8) -> Option<u64> {
+        self.0.next_hop_on_vc(current, dst, vc)
+    }
+
+    fn hops_are_stateless(&self) -> bool {
+        self.0.hops_are_stateless()
+    }
+
+    fn candidates(&self, current: u64, dst: u64) -> Candidates {
+        self.0.candidates(current, dst)
+    }
+
+    fn ranked_candidates(&self, current: u64, dst: u64) -> RankedCandidates {
+        self.0.ranked_candidates(current, dst)
+    }
+
+    fn route(&self, src: u64, dst: u64) -> Option<Vec<u64>> {
+        self.0.route(src, dst)
+    }
+
+    fn distance(&self, src: u64, dst: u64) -> Option<u64> {
+        self.0.distance(src, dst)
+    }
+
+    fn as_repair(&self) -> Option<&dyn RouteRepair> {
+        Some(self)
+    }
+}
+
+impl RouteRepair for LockedReads<'_> {
+    fn apply_link_event(&self, from: u64, to: u64, alive: bool) -> RepairStats {
+        self.0.apply_link_event(from, to, alive)
+    }
+
+    fn apply_link_event_deferred(&self, from: u64, to: u64, alive: bool) -> RepairStats {
+        self.0.apply_link_event_deferred(from, to, alive)
+    }
+
+    fn publish_deferred(&self) {
+        self.0.publish_deferred();
+    }
+
+    fn repair_table_runs(&self) -> usize {
+        self.0.repair_table_runs()
+    }
+
+    fn snapshot_epoch(&self) -> u64 {
+        self.0.snapshot_epoch()
+    }
+
+    fn published_snapshot(&self) -> Option<RouteSnapshot> {
+        None
+    }
+}
 
 /// The tentpole acceptance run: a B(2,10) hotspot workload survives a
 /// mid-run failure storm across a transceiver-plane slice plus a
@@ -1497,11 +1572,11 @@ proptest! {
 
     /// The epoch-snapshot read path against its oracle: the same
     /// random kill/revive timeline run with lock-free snapshot reads
-    /// (the default) and with `set_snapshot_reads(false)` — every
-    /// query through the router's own locked path — must produce
-    /// byte-identical reports at 1, 2 and 8 drain threads. This is
-    /// the differential that lets the engine erase the per-query
-    /// RwLock without ever being able to change an answer.
+    /// and through [`LockedReads`] — every query through the router's
+    /// own locked path — must produce byte-identical reports at 1, 2
+    /// and 8 drain threads. This is the differential that lets the
+    /// engine erase the per-query RwLock without ever being able to
+    /// change an answer.
     #[test]
     fn snapshot_reads_match_the_locked_oracle_at_1_2_8_threads(
         seed in any::<u64>(),
@@ -1516,7 +1591,7 @@ proptest! {
         let spec = format!("randfades@{seed}:{fades}:{window}:{duration}");
         let mut baseline = None;
         for threads in [1usize, 2, 8] {
-            for snapshot_reads in [true, false] {
+            for locked in [false, true] {
                 let config = QueueConfig {
                     buffers: 4,
                     wavelengths: 1,
@@ -1528,19 +1603,22 @@ proptest! {
                 };
                 let mut engine = QueueingEngine::new(g.clone(), config);
                 engine.set_dynamics(spec.parse().expect("valid spec"), StrandedPolicy::Reinject);
-                engine.set_snapshot_reads(snapshot_reads);
                 // Fresh router per run: repair mutates it.
                 let router = DynamicRoutingTable::new(&g);
-                let report = engine.run(&router, &workload, 0.3 * n as f64);
+                let report = if locked {
+                    engine.run(&LockedReads(&router), &workload, 0.3 * n as f64)
+                } else {
+                    engine.run(&router, &workload, 0.3 * n as f64)
+                };
                 prop_assert!(report.dynamics_consistent(), "{report:?}");
                 match &baseline {
                     None => baseline = Some(report),
                     Some(first) => prop_assert_eq!(
                         first,
                         &report,
-                        "threads={} snapshot_reads={} diverged from the oracle",
+                        "threads={} locked={} diverged from the oracle",
                         threads,
-                        snapshot_reads
+                        locked
                     ),
                 }
             }
