@@ -21,6 +21,14 @@
 //! [`RouteRepair::apply_link_event`], which is that same pair for a
 //! batch of one.
 //!
+//! Because the drain workers are parked while the sequential slot
+//! runs, the repair uses their cores: one event's per-destination
+//! repairs and row splices split across [`otis_util::num_threads`]
+//! workers, and a publication fills the snapshot's run slabs over
+//! disjoint row ranges in parallel once the offsets prefix has placed
+//! every row (see [`otis_digraph::repair`]). Rows, stats and snapshots
+//! are byte-identical at any worker count.
+//!
 //! Reads, by contrast, never touch that lock: every row-changing
 //! repair **publishes** an immutable [`RouteSnapshot`] (a compact CSR
 //! view behind an `Arc`) and bumps an epoch counter. The engine's
@@ -235,8 +243,9 @@ impl DynamicRoutingTable {
     /// the hook hardware-fault wrappers use where endpoint pairs are
     /// ambiguous (parallel beams implement distinct arcs between the
     /// same node pair). Publishes exactly like
-    /// [`RouteRepair::apply_link_event`]. Panics on an out-of-range
-    /// arc index.
+    /// [`RouteRepair::apply_link_event`]. An arc index the fabric does
+    /// not have is a costless no-op, like an unknown link: it returns
+    /// [`RepairStats::default`] and publishes nothing.
     pub fn apply_arc_event(&self, arc: usize, alive: bool) -> RepairStats {
         let stats = self.repair_deferred(|table| table.set_arc_alive(arc, alive));
         self.publish_deferred();
@@ -470,6 +479,20 @@ mod tests {
             RepairStats::default()
         );
         assert_eq!(dynamic.snapshot_epoch(), after);
+    }
+
+    #[test]
+    fn out_of_range_arc_event_is_a_costless_noop() {
+        let g = DeBruijn::new(2, 4).digraph();
+        let dynamic = DynamicRoutingTable::new(&g);
+        let (epoch, before) = (dynamic.snapshot_epoch(), dynamic.snapshot());
+        for arc in [g.arc_count(), usize::MAX] {
+            assert_eq!(dynamic.apply_arc_event(arc, false), RepairStats::default());
+            assert_eq!(dynamic.apply_arc_event(arc, true), RepairStats::default());
+        }
+        assert_eq!(dynamic.snapshot_epoch(), epoch, "nothing published");
+        assert_eq!(dynamic.snapshot(), before);
+        assert_eq!(dynamic.dead_arc_count(), 0);
     }
 
     #[test]

@@ -31,6 +31,10 @@
 
 use crate::{Digraph, INFINITY};
 
+/// Runs each worker must have before a canonical-rows publication
+/// splits its slab fill.
+const MIN_RUNS_PER_FILL: usize = 1 << 16;
+
 /// One maximal destination interval of a source's next-hop function:
 /// every destination from `start` up to the next run's start shares
 /// this `hop` and `dist`.
@@ -166,44 +170,87 @@ impl CompressedNextHopTable {
 
     /// Assemble a table from rows that are already canonical —
     /// strictly ascending starts beginning at destination 0, adjacent
-    /// identical runs merged — skipping [`Self::from_rows`]'s per-run
-    /// validation and merge scan. This is the epoch-publication fast
-    /// path of the repairable table ([`crate::repair`]), which
-    /// re-exports a snapshot after every row-changing link event; its
-    /// BFS rows are canonical by construction. Debug builds still
-    /// verify canonicity.
-    pub fn from_canonical_rows<'a>(n: usize, rows: impl Iterator<Item = &'a [NextHopRun]>) -> Self {
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut starts = Vec::new();
-        let mut hops = Vec::new();
-        let mut dists = Vec::new();
-        offsets.push(0usize);
-        let mut sources = 0usize;
-        for row in rows {
-            sources += 1;
+    /// identical runs merged — one row per source in id order,
+    /// skipping [`Self::from_rows`]'s per-run validation and merge
+    /// scan. This is the epoch-publication fast path of the
+    /// repairable table ([`crate::repair`]), which re-exports a
+    /// snapshot after every row-changing batch of link events; its BFS
+    /// rows are canonical by construction. Debug builds still verify
+    /// canonicity.
+    ///
+    /// The offsets prefix comes first, so every row's place in the
+    /// slabs is known; the slabs are then filled over disjoint row
+    /// ranges of about equal run count, one per worker
+    /// ([`otis_util::num_threads`], sequential for small tables).
+    pub fn from_canonical_rows(rows: &[Vec<NextHopRun>]) -> Self {
+        let total = rows.iter().map(Vec::len).sum::<usize>();
+        Self::from_canonical_rows_with(rows, otis_util::num_threads(total / MIN_RUNS_PER_FILL))
+    }
+
+    /// [`Self::from_canonical_rows`] over exactly `workers` row ranges.
+    fn from_canonical_rows_with(rows: &[Vec<NextHopRun>], workers: usize) -> Self {
+        let n = rows.len();
+        for (u, row) in rows.iter().enumerate() {
             debug_assert!(
                 n == 0 || row.first().map(|run| run.start) == Some(0),
-                "source {} runs must start at destination 0",
-                sources - 1
+                "source {u} runs must start at destination 0"
             );
             debug_assert!(
                 row.last().is_none_or(|run| (run.start as usize) < n),
-                "source {} has a run start outside 0..{n}",
-                sources - 1
+                "source {u} has a run start outside 0..{n}"
             );
             debug_assert!(
                 row.windows(2)
                     .all(|w| w[0].start < w[1].start
                         && (w[0].hop != w[1].hop || w[0].dist != w[1].dist)),
-                "source {} rows are not canonical (unsorted or unmerged)",
-                sources - 1
+                "source {u} rows are not canonical (unsorted or unmerged)"
             );
-            starts.extend(row.iter().map(|run| run.start));
-            hops.extend(row.iter().map(|run| run.hop));
-            dists.extend(row.iter().map(|run| run.dist));
-            offsets.push(starts.len());
         }
-        assert_eq!(sources, n, "need exactly one run row per source");
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0usize);
+        for row in rows {
+            offsets.push(offsets[offsets.len() - 1] + row.len());
+        }
+        let total = offsets[n];
+        let mut starts = vec![0u32; total];
+        let mut hops = vec![0u32; total];
+        let mut dists = vec![0u32; total];
+        // Cut the slabs at row boundaries near equal shares of runs.
+        let workers = workers.max(1);
+        let mut fills = Vec::with_capacity(workers);
+        let (mut starts_rest, mut hops_rest, mut dists_rest) =
+            (&mut starts[..], &mut hops[..], &mut dists[..]);
+        let mut lo = 0usize;
+        for w in 1..=workers {
+            let hi = if w == workers {
+                n
+            } else {
+                offsets
+                    .partition_point(|&offset| offset < total * w / workers)
+                    .clamp(lo, n)
+            };
+            let len = offsets[hi] - offsets[lo];
+            let (starts_part, rest) = std::mem::take(&mut starts_rest).split_at_mut(len);
+            starts_rest = rest;
+            let (hops_part, rest) = std::mem::take(&mut hops_rest).split_at_mut(len);
+            hops_rest = rest;
+            let (dists_part, rest) = std::mem::take(&mut dists_rest).split_at_mut(len);
+            dists_rest = rest;
+            fills.push((&rows[lo..hi], starts_part, hops_part, dists_part));
+            lo = hi;
+        }
+        otis_util::par_workers(&mut fills, |(rows, starts, hops, dists)| {
+            let runs = rows.iter().flatten();
+            for (((run, start), hop), dist) in runs
+                .zip(starts.iter_mut())
+                .zip(hops.iter_mut())
+                .zip(dists.iter_mut())
+            {
+                *start = run.start;
+                *hop = run.hop;
+                *dist = run.dist;
+            }
+        });
         CompressedNextHopTable {
             n,
             offsets: offsets.into_boxed_slice(),
@@ -496,9 +543,20 @@ mod tests {
         let mut scratch = BfsScratch::new(n as usize);
         let rows: Vec<Vec<NextHopRun>> = (0..n).map(|u| source_runs(&g, u, &mut scratch)).collect();
         let validated = CompressedNextHopTable::from_rows(n as usize, rows.iter().cloned());
-        let fast =
-            CompressedNextHopTable::from_canonical_rows(n as usize, rows.iter().map(Vec::as_slice));
-        assert_eq!(validated, fast);
+        assert_eq!(
+            validated,
+            CompressedNextHopTable::from_canonical_rows(&rows)
+        );
+        // The parallel fill cuts the slabs at row boundaries; any
+        // worker count (more workers than rows included) must give
+        // the same slabs.
+        for workers in [1, 2, 3, 8, 200] {
+            assert_eq!(
+                validated,
+                CompressedNextHopTable::from_canonical_rows_with(&rows, workers),
+                "{workers} fill workers"
+            );
+        }
     }
 
     #[test]

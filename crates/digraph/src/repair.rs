@@ -30,12 +30,45 @@
 //!    the affected set, its alive in-neighbors, and `a` itself —
 //!    recomputed locally from the settled distances.
 //!
-//! Changed entries are buffered per source and spliced into the run
-//! rows in one canonical merge pass per touched row. On a single-link
-//! event the affected cone per destination is typically a handful of
-//! vertices, so an event costs milliseconds where recomputing every
-//! containing row costs full BFS runs — the difference between link
-//! dynamics riding along with a simulation and dominating it.
+//! Changed entries are buffered and spliced into the run rows in one
+//! canonical merge pass per touched row. On a single-link event the
+//! affected cone per destination is typically a handful of vertices,
+//! so an event costs milliseconds where recomputing every containing
+//! row costs full BFS runs — the difference between link dynamics
+//! riding along with a simulation and dominating it.
+//!
+//! ## Using every core
+//!
+//! An event runs on the queueing engine's sequential slot, where the
+//! drain workers sit idle at a phase barrier, so the event itself
+//! splits across [`otis_util::num_threads`] workers once it is big
+//! enough (a fixed minimum of candidates, edits or runs per worker;
+//! below that it runs inline):
+//!
+//! * **Repair.** Workers pull small fixed-size chunks of the candidate
+//!   list from one shared cursor ([`otis_util::par_chunks_with`]) —
+//!   cone sizes vary widely between destinations, so contiguous halves
+//!   would leave one worker idle. Every per-destination repair reads
+//!   only the pre-event rows, which stay immutable until the splice,
+//!   and writes only its own worker's scratch, whose marks are stamped
+//!   per destination. Each worker keeps one flat edit buffer and a log
+//!   of the chunks it claimed.
+//! * **Merge.** Each `(source, dst)` pair is edited at most once per
+//!   event, by the repair of `dst`. Taking the chunks in candidate
+//!   order and counting-sorting their edits by source therefore
+//!   reproduces the sequential loop's per-row edit lists exactly,
+//!   destinations ascending.
+//! * **Splice.** Touched rows are independent, so workers splice them
+//!   from a second shared cursor.
+//! * **Stats.** `rows_recomputed` is the distinct union of the rows the
+//!   workers examined; `rows_patched` and `runs_patched` are sums over
+//!   the spliced rows.
+//!
+//! Rows, stats and snapshots are therefore byte-identical at any
+//! worker count, which the worker-count battery below pins at 1, 2, 3
+//! and 8 workers. Snapshot publication
+//! ([`CompressedNextHopTable::from_canonical_rows`]) fills its slabs
+//! over disjoint row ranges in parallel too.
 //!
 //! [`RepairableNextHopTable::snapshot`] re-exports the current rows as
 //! an ordinary [`CompressedNextHopTable`]; the differential battery in
@@ -45,6 +78,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
 use crate::compressed::{source_runs_masked, BfsScratch, CompressedNextHopTable, NextHopRun};
 use crate::{Digraph, INFINITY};
@@ -91,21 +125,45 @@ pub struct RepairableNextHopTable {
     rev_offsets: Vec<usize>,
     rev_sources: Vec<u32>,
     rev_arcs: Vec<usize>,
-    repair: RepairScratch,
+    /// One per-destination repair scratch per worker, created the
+    /// first time an event needs that many workers and reused after.
+    workers: Vec<RepairScratch>,
+    /// One splice output buffer per splice worker, likewise reused.
+    splicers: Vec<SpliceScratch>,
+    /// Event-level state: candidates and the merged edits.
+    event: EventScratch,
 }
+
+/// Candidate destinations each worker must have before an event's
+/// repair splits across workers; below this the thread spawn costs
+/// more than the split saves.
+const MIN_CANDIDATES_PER_WORKER: usize = 64;
+
+/// Candidate destinations per cursor claim. Small and fixed, because
+/// cone sizes vary widely between destinations and contiguous halves
+/// leave one worker idle.
+const DST_CHUNK: usize = 16;
+
+/// Buffered edits each worker must have before the splice splits.
+const MIN_EDITS_PER_WORKER: usize = 8192;
+
+/// Touched rows per cursor claim in the splice. Small, because one
+/// row can carry thousands of edits while its neighbors carry one.
+const ROW_CHUNK: usize = 4;
 
 /// One buffered row change: `(dst, dist, hop)`.
 type RowEdit = (u32, u32, u32);
 
-/// Reusable scratch for the per-destination repair. The `n`-sized maps
-/// are epoch-marked (`mark[u] == stamp` means "set this round"), so
-/// starting a fresh destination costs nothing instead of an `O(n)`
-/// clear.
+/// One buffered change tagged with its row: `(source, dst, dist, hop)`.
+type SourcedEdit = (u32, u32, u32, u32);
+
+/// Reusable scratch for the per-destination repair, one per worker.
+/// The `n`-sized maps are epoch-marked (`mark[u] == stamp` means "set
+/// this round"), so starting a fresh destination costs nothing instead
+/// of an `O(n)` clear.
 struct RepairScratch {
-    /// Bumped once per `(event, destination)` processed.
+    /// Bumped once per `(event, destination)` this worker processes.
     stamp: u64,
-    /// Bumped once per event; scopes `row_mark`.
-    event_stamp: u64,
     /// `new_dist[u]` holds `u`'s settled post-event distance iff
     /// `dist_mark[u] == stamp`; otherwise the stored row is current.
     dist_mark: Vec<u64>,
@@ -114,7 +172,7 @@ struct RepairScratch {
     set_mark: Vec<u64>,
     /// Dedup for the hop-recompute boundary.
     hop_mark: Vec<u64>,
-    /// Distinct sources examined across the whole event (stats).
+    /// Rows examined this event (stamped with the event counter).
     row_mark: Vec<u64>,
     /// Affected (death) / improved (revival) vertices, this round.
     members: Vec<u32>,
@@ -124,19 +182,19 @@ struct RepairScratch {
     work: VecDeque<u32>,
     /// Unit-weight Dijkstra over the affected set.
     heap: BinaryHeap<Reverse<(u32, u32)>>,
-    /// Destinations the flipped arc can affect (two-pointer output).
-    dsts: Vec<u32>,
-    /// Buffered changes per source, destinations ascending.
-    changes: Vec<Vec<RowEdit>>,
-    /// Sources with buffered changes.
-    touched: Vec<u32>,
+    /// Distinct rows this worker examined this event.
+    examined: Vec<u32>,
+    /// This worker's buffered changes this event, one flat list.
+    edits: Vec<SourcedEdit>,
+    /// `(first candidate index, first edit index)` of every chunk
+    /// this worker claimed this event, in claim order.
+    chunks: Vec<(usize, usize)>,
 }
 
 impl RepairScratch {
     fn new(n: usize) -> Self {
         RepairScratch {
             stamp: 0,
-            event_stamp: 0,
             dist_mark: vec![0; n],
             new_dist: vec![0; n],
             set_mark: vec![0; n],
@@ -146,15 +204,39 @@ impl RepairScratch {
             hop_set: Vec::new(),
             work: VecDeque::new(),
             heap: BinaryHeap::new(),
-            dsts: Vec::new(),
-            changes: vec![Vec::new(); n],
-            touched: Vec::new(),
+            examined: Vec::new(),
+            edits: Vec::new(),
+            chunks: Vec::new(),
         }
     }
 }
 
+/// One splice worker's output: freshly spliced rows with their
+/// sources.
+type SpliceScratch = Vec<(u32, Vec<NextHopRun>)>;
+
+/// Event-level scratch shared by all workers' results.
+struct EventScratch {
+    /// Bumped once per event; scopes every worker's `row_mark`.
+    stamp: u64,
+    /// Destinations the flipped arc can affect (two-pointer output).
+    dsts: Vec<u32>,
+    /// Per-source edit counter, zero between events. The merge turns
+    /// it into each touched row's end offset into `edits`.
+    row_end: Vec<usize>,
+    /// Sources with buffered changes, ascending.
+    touched: Vec<u32>,
+    /// Every worker's chunks as `(first candidate, worker, edits)`,
+    /// sorted into candidate order for the merge.
+    chunks: Vec<(usize, usize, Range<usize>)>,
+    /// Every worker's changes grouped by source in `touched` order,
+    /// destinations ascending within each source.
+    edits: Vec<RowEdit>,
+}
+
 /// Borrowed view of the table internals the per-destination repair
-/// reads; rows stay immutable until the final splice.
+/// reads; rows stay immutable until the final splice, so every worker
+/// shares one view.
 struct RepairCtx<'a> {
     g: &'a Digraph,
     alive: &'a [bool],
@@ -242,7 +324,16 @@ impl RepairableNextHopTable {
             rev_offsets,
             rev_sources,
             rev_arcs,
-            repair: RepairScratch::new(n),
+            workers: vec![RepairScratch::new(n)],
+            splicers: vec![SpliceScratch::new()],
+            event: EventScratch {
+                stamp: 0,
+                dsts: Vec::new(),
+                row_end: vec![0; n],
+                touched: Vec::new(),
+                chunks: Vec::new(),
+                edits: Vec::new(),
+            },
         }
     }
 
@@ -312,67 +403,144 @@ impl RepairableNextHopTable {
 
     /// Kill (`alive = false`) or revive (`alive = true`) one arc and
     /// repair every affected row. Returns what the repair cost; a
-    /// no-op transition (already in the requested state) costs
-    /// nothing.
+    /// no-op transition (already in the requested state, or an arc
+    /// index the fabric does not have) costs nothing and leaves the
+    /// table unchanged.
+    ///
+    /// The per-destination repairs and the row splice split across
+    /// [`otis_util::num_threads`] workers once the event is big
+    /// enough to pay for them; rows and stats are identical at any
+    /// worker count.
     pub fn set_arc_alive(&mut self, arc: usize, alive: bool) -> RepairStats {
-        if self.alive[arc] == alive {
+        self.flip(arc, alive, otis_util::num_threads)
+    }
+
+    /// [`Self::set_arc_alive`] with exactly `workers` workers in the
+    /// repair and the splice, however small the event — the hook the
+    /// worker-count differential battery drives.
+    #[cfg(test)]
+    fn set_arc_alive_with_workers(
+        &mut self,
+        arc: usize,
+        alive: bool,
+        workers: usize,
+    ) -> RepairStats {
+        self.flip(arc, alive, |_| workers)
+    }
+
+    /// The event body. `workers_for(share)` picks a phase's worker
+    /// count from its item count divided by the per-worker minimum.
+    fn flip(
+        &mut self,
+        arc: usize,
+        alive: bool,
+        workers_for: impl Fn(usize) -> usize,
+    ) -> RepairStats {
+        if self.alive.get(arc).is_none_or(|&state| state == alive) {
             return RepairStats::default();
         }
         self.alive[arc] = alive;
-        let mut stats = RepairStats::default();
         let a = self.g.arc_source(arc);
         let b = self.g.arc_target(arc);
         if a == b {
             // A self-loop never descends toward any destination (it
             // would need dist(a) == dist(a) + 1), so no row changes.
-            return stats;
+            return RepairStats::default();
         }
-        let n = self.rows.len() as u32;
-        self.repair.event_stamp += 1;
-        {
-            let ctx = RepairCtx {
-                g: &self.g,
-                alive: &self.alive,
-                rows: &self.rows,
-                rev_offsets: &self.rev_offsets,
-                rev_sources: &self.rev_sources,
-                rev_arcs: &self.rev_arcs,
-            };
-            let scratch = &mut self.repair;
-            let mut dsts = std::mem::take(&mut scratch.dsts);
-            candidate_destinations(
-                &ctx.rows[a as usize],
-                &ctx.rows[b as usize],
-                n,
-                alive,
-                &mut dsts,
-            );
-            for &dst in &dsts {
-                scratch.stamp += 1;
+        let n = self.rows.len();
+        let Self {
+            g,
+            alive: live,
+            rows,
+            rev_offsets,
+            rev_sources,
+            rev_arcs,
+            workers,
+            splicers,
+            event,
+        } = self;
+        event.stamp += 1;
+        let ctx = RepairCtx {
+            g,
+            alive: live,
+            rows,
+            rev_offsets,
+            rev_sources,
+            rev_arcs,
+        };
+        candidate_destinations(
+            &rows[a as usize],
+            &rows[b as usize],
+            n as u32,
+            alive,
+            &mut event.dsts,
+        );
+
+        // Repair: workers pull destination chunks from one cursor.
+        let count = workers_for(event.dsts.len() / MIN_CANDIDATES_PER_WORKER);
+        while workers.len() < count {
+            workers.push(RepairScratch::new(n));
+        }
+        let workers = &mut workers[..count];
+        for s in workers.iter_mut() {
+            s.examined.clear();
+            s.edits.clear();
+            s.chunks.clear();
+        }
+        let event_stamp = event.stamp;
+        let dsts = &event.dsts;
+        otis_util::par_chunks_with(workers, dsts.len(), DST_CHUNK, |s, range| {
+            s.chunks.push((range.start, s.edits.len()));
+            for &dst in &dsts[range] {
+                s.stamp += 1;
                 if alive {
-                    repair_revival(&ctx, scratch, &mut stats, a, b, dst);
+                    repair_revival(&ctx, s, event_stamp, a, b, dst);
                 } else {
-                    repair_death(&ctx, scratch, &mut stats, a, dst);
+                    repair_death(&ctx, s, event_stamp, a, dst);
                 }
             }
-            scratch.dsts = dsts;
+        });
+        let mut stats = RepairStats {
+            rows_recomputed: examined_union(workers, event_stamp),
+            ..RepairStats::default()
+        };
+
+        // Merge: group every worker's edits by source, taking the
+        // chunks in candidate order — the order the sequential loop
+        // would have produced them in.
+        group_by_source(workers, event);
+
+        // Splice the touched rows — independent, so split too.
+        let count = workers_for(event.edits.len() / MIN_EDITS_PER_WORKER);
+        while splicers.len() < count {
+            splicers.push(SpliceScratch::new());
         }
-        // Splice the buffered changes into their rows, one canonical
-        // merge pass per touched source. Sorting keeps the patch order
-        // (and therefore any future instrumentation) deterministic; the
-        // rows themselves are order-independent.
-        let mut touched = std::mem::take(&mut self.repair.touched);
-        touched.sort_unstable();
-        for &u in &touched {
-            let changes = &mut self.repair.changes[u as usize];
-            let fresh = splice_row(&self.rows[u as usize], changes, n);
-            changes.clear();
-            stats.rows_patched += 1;
-            stats.runs_patched += fresh.len();
-            self.rows[u as usize] = fresh;
+        let splicers = &mut splicers[..count];
+        let (touched, row_end, edits) = (&event.touched, &event.row_end, &event.edits);
+        otis_util::par_chunks_with(splicers, touched.len(), ROW_CHUNK, |out, range| {
+            for i in range {
+                let u = touched[i] as usize;
+                let lo = if i == 0 {
+                    0
+                } else {
+                    row_end[touched[i - 1] as usize]
+                };
+                out.push((
+                    u as u32,
+                    splice_row(&rows[u], &edits[lo..row_end[u]], n as u32),
+                ));
+            }
+        });
+        for out in splicers.iter_mut() {
+            for (u, fresh) in out.drain(..) {
+                stats.rows_patched += 1;
+                stats.runs_patched += fresh.len();
+                rows[u as usize] = fresh;
+            }
         }
-        touched.clear();
-        self.repair.touched = touched;
+        for &u in &event.touched {
+            event.row_end[u as usize] = 0;
+        }
         stats
     }
 
@@ -391,10 +559,7 @@ impl RepairableNextHopTable {
         // Rows are canonical by construction (the BFS emits merged,
         // ascending runs), so the publication-rate fast path applies;
         // the battery below pins it equal to the validating build.
-        CompressedNextHopTable::from_canonical_rows(
-            self.rows.len(),
-            self.rows.iter().map(Vec::as_slice),
-        )
+        CompressedNextHopTable::from_canonical_rows(&self.rows)
     }
 
     /// Materialize the survivor digraph (alive arcs only, same node
@@ -407,6 +572,74 @@ impl RepairableNextHopTable {
                 .map(|arc| self.g.arc_target(arc))
                 .collect::<Vec<_>>()
         })
+    }
+}
+
+/// `rows_recomputed` for the event: the distinct union of the rows
+/// every worker examined. Worker 0's marks serve as the union set.
+fn examined_union(workers: &mut [RepairScratch], event_stamp: u64) -> usize {
+    let Some((first, rest)) = workers.split_first_mut() else {
+        return 0;
+    };
+    let mut union = first.examined.len();
+    for s in rest {
+        for &u in &s.examined {
+            if first.row_mark[u as usize] != event_stamp {
+                first.row_mark[u as usize] = event_stamp;
+                union += 1;
+            }
+        }
+    }
+    union
+}
+
+/// Counting-sort every worker's edits by source into `event.edits`,
+/// with `event.touched` the ascending touched sources and
+/// `event.row_end[u]` the end of source `u`'s span (a span starts where
+/// the previous touched source's ends). The scatter takes the chunks
+/// in candidate order, so within a span the edits come out by
+/// ascending destination, exactly as the sequential loop buffers them.
+fn group_by_source(workers: &[RepairScratch], event: &mut EventScratch) {
+    let EventScratch {
+        row_end,
+        touched,
+        chunks,
+        edits,
+        ..
+    } = event;
+    touched.clear();
+    let mut total = 0usize;
+    for &(u, ..) in workers.iter().flat_map(|s| &s.edits) {
+        if row_end[u as usize] == 0 {
+            touched.push(u);
+        }
+        row_end[u as usize] += 1;
+        total += 1;
+    }
+    touched.sort_unstable();
+    // Counts to span starts; the scatter below advances each start to
+    // its span's end.
+    let mut start = 0usize;
+    for &u in touched.iter() {
+        let count = row_end[u as usize];
+        row_end[u as usize] = start;
+        start += count;
+    }
+    chunks.clear();
+    for (w, s) in workers.iter().enumerate() {
+        let ends = s.chunks.iter().skip(1).map(|&(_, lo)| lo);
+        for (&(first, lo), hi) in s.chunks.iter().zip(ends.chain([s.edits.len()])) {
+            chunks.push((first, w, lo..hi));
+        }
+    }
+    chunks.sort_unstable_by_key(|&(first, ..)| first);
+    edits.clear();
+    edits.resize(total, (0, 0, 0));
+    for (_, w, range) in chunks.iter() {
+        for &(u, dst, dist, hop) in &workers[*w].edits[range.clone()] {
+            edits[row_end[u as usize]] = (dst, dist, hop);
+            row_end[u as usize] += 1;
+        }
     }
 }
 
@@ -445,13 +678,7 @@ fn candidate_destinations(
 }
 
 /// Per-destination repair after killing descending arc `a → b`.
-fn repair_death(
-    ctx: &RepairCtx<'_>,
-    s: &mut RepairScratch,
-    stats: &mut RepairStats,
-    a: u32,
-    dst: u32,
-) {
+fn repair_death(ctx: &RepairCtx<'_>, s: &mut RepairScratch, event_stamp: u64, a: u32, dst: u32) {
     let stamp = s.stamp;
     let mut members = std::mem::take(&mut s.members);
     members.clear();
@@ -526,7 +753,7 @@ fn repair_death(
     }
     collect_hop_boundary(ctx, s, &members, a);
     s.members = members;
-    recompute_hops(ctx, s, stats, dst);
+    recompute_hops(ctx, s, event_stamp, dst);
 }
 
 /// Per-destination repair after reviving arc `a → b` (pre-event
@@ -534,7 +761,7 @@ fn repair_death(
 fn repair_revival(
     ctx: &RepairCtx<'_>,
     s: &mut RepairScratch,
-    stats: &mut RepairStats,
+    event_stamp: u64,
     a: u32,
     b: u32,
     dst: u32,
@@ -573,7 +800,7 @@ fn repair_revival(
     // boundary below always contains `a`.
     collect_hop_boundary(ctx, s, &members, a);
     s.members = members;
-    recompute_hops(ctx, s, stats, dst);
+    recompute_hops(ctx, s, event_stamp, dst);
 }
 
 /// Collect the vertices whose canonical hop toward the current
@@ -603,16 +830,16 @@ fn collect_hop_boundary(ctx: &RepairCtx<'_>, s: &mut RepairScratch, members: &[u
 /// distances and buffer every entry that differs from the stored row.
 /// The canonical hop is the minimum alive out-neighbor one step closer
 /// to the destination — exactly the static builder's choice.
-fn recompute_hops(ctx: &RepairCtx<'_>, s: &mut RepairScratch, stats: &mut RepairStats, dst: u32) {
+fn recompute_hops(ctx: &RepairCtx<'_>, s: &mut RepairScratch, event_stamp: u64, dst: u32) {
     let stamp = s.stamp;
     let hop_set = std::mem::take(&mut s.hop_set);
     for &u in &hop_set {
         if u == dst {
             continue; // (dist 0, no hop) never changes
         }
-        if s.row_mark[u as usize] != s.event_stamp {
-            s.row_mark[u as usize] = s.event_stamp;
-            stats.rows_recomputed += 1;
+        if s.row_mark[u as usize] != event_stamp {
+            s.row_mark[u as usize] = event_stamp;
+            s.examined.push(u);
         }
         let (old_hop, old_dist) = ctx.entry(u, dst);
         let du = if s.dist_mark[u as usize] == stamp {
@@ -637,11 +864,7 @@ fn recompute_hops(ctx: &RepairCtx<'_>, s: &mut RepairScratch, stats: &mut Repair
             }
         }
         if (du, hop) != (old_dist, old_hop) {
-            let changes = &mut s.changes[u as usize];
-            if changes.is_empty() {
-                s.touched.push(u);
-            }
-            changes.push((dst, du, hop));
+            s.edits.push((u, dst, du, hop));
         }
     }
     s.hop_set = hop_set;
@@ -688,9 +911,14 @@ mod tests {
     }
 
     fn kautz_like() -> Digraph {
-        // Cycle plus multiplicative chords: irregular, loops-free,
-        // strongly connected — a good adversarial shape for repair.
-        let n = 37u32;
+        irregular(37)
+    }
+
+    fn irregular(n: u32) -> Digraph {
+        // Cycle plus multiplicative chords: irregular, strongly
+        // connected, with a self-loop and parallel arcs where the
+        // chord lands on `u` or `u + 1` — a good adversarial shape for
+        // repair.
         Digraph::from_fn(n as usize, |u| vec![(u + 1) % n, (u * 5 + 2) % n])
     }
 
@@ -795,6 +1023,110 @@ mod tests {
             incremental.set_arc_alive(arc, false);
         }
         assert_eq!(preloaded.snapshot(), incremental.snapshot());
+    }
+
+    #[test]
+    fn out_of_range_arc_is_a_costless_noop() {
+        let g = debruijn(2, 5);
+        let mut table = RepairableNextHopTable::new(&g);
+        table.set_arc_alive(7, false);
+        let before = table.snapshot();
+        for arc in [g.arc_count(), g.arc_count() + 1, usize::MAX] {
+            for alive in [false, true] {
+                assert_eq!(table.set_arc_alive(arc, alive), RepairStats::default());
+            }
+        }
+        assert_eq!(table.snapshot(), before);
+        assert_eq!(table.dead_arc_count(), 1);
+    }
+
+    /// Would [`RepairableNextHopTable::set_arc_alive`] split the
+    /// repair of flipping `arc` to `alive` across more than one worker
+    /// (on a host with at least two)?
+    fn splits(table: &RepairableNextHopTable, arc: usize, alive: bool) -> bool {
+        let (a, b) = (table.g.arc_source(arc), table.g.arc_target(arc));
+        if a == b || table.arc_alive(arc) == alive {
+            return false;
+        }
+        let mut dsts = Vec::new();
+        candidate_destinations(
+            &table.rows[a as usize],
+            &table.rows[b as usize],
+            table.node_count() as u32,
+            alive,
+            &mut dsts,
+        );
+        dsts.len() / MIN_CANDIDATES_PER_WORKER >= 2
+    }
+
+    /// Kill every out-arc of nodes `first..first + 8`, then revive
+    /// them in reverse order.
+    fn storm(g: &Digraph, first: u32) -> Vec<(usize, bool)> {
+        let arcs: Vec<usize> = (first..first + 8).flat_map(|u| g.arc_range(u)).collect();
+        let kills = arcs.iter().map(|&arc| (arc, false));
+        kills
+            .chain(arcs.iter().rev().map(|&arc| (arc, true)))
+            .collect()
+    }
+
+    /// A seeded pseudo-random walk of arc flips.
+    fn random_flips(g: &Digraph, seed: u64, len: usize) -> Vec<(usize, bool)> {
+        let mut alive = vec![true; g.arc_count()];
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let arc = (state >> 33) as usize % alive.len();
+                alive[arc] = !alive[arc];
+                (arc, alive[arc])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn worker_counts_repair_identically() {
+        for g in [debruijn(2, 10), irregular(211)] {
+            for sequence in [storm(&g, 40), random_flips(&g, 0x5EED, 24)] {
+                // The 1-worker run, pinned against a rebuild after
+                // every event, is the reference for every other count.
+                // The hook runs exactly that many workers, so the
+                // parallel repair and splice run on every event.
+                let mut reference = RepairableNextHopTable::new(&g);
+                let mut expected = Vec::new();
+                let mut split = false;
+                for &(arc, alive) in &sequence {
+                    split |= splits(&reference, arc, alive);
+                    let stats = reference.set_arc_alive_with_workers(arc, alive, 1);
+                    let dead: Vec<usize> = (0..g.arc_count())
+                        .filter(|&arc| !reference.arc_alive(arc))
+                        .collect();
+                    let snapshot = reference.snapshot();
+                    assert_eq!(
+                        snapshot,
+                        RepairableNextHopTable::with_dead_arcs(&g, &dead).snapshot(),
+                        "1-worker repair diverged from the rebuild"
+                    );
+                    expected.push((stats, snapshot));
+                }
+                assert!(
+                    split,
+                    "no event is big enough to split outside the test hook"
+                );
+                for workers in [2, 3, 8] {
+                    let mut table = RepairableNextHopTable::new(&g);
+                    for (event, &(arc, alive)) in sequence.iter().enumerate() {
+                        let stats = table.set_arc_alive_with_workers(arc, alive, workers);
+                        assert_eq!(
+                            (stats, table.snapshot()),
+                            expected[event],
+                            "{workers} workers diverged at event {event} (arc {arc}, alive {alive})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

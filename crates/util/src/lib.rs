@@ -10,8 +10,9 @@
 //!   millions of small integer keys; SipHash would dominate their
 //!   profiles.
 //! * [`par`] — minimal scoped-thread data parallelism (`par_map`,
-//!   `par_for_each_chunk`) built on `std::thread::scope`, used for the
-//!   all-pairs BFS diameter computation and the Table 1 sweep.
+//!   `par_chunks_with`, `par_workers`) built on `std::thread::scope`,
+//!   used for the all-pairs BFS diameter computation, the Table 1
+//!   sweep and the per-destination link-event repair.
 //! * [`digits`] — checked d-ary positional arithmetic shared by the
 //!   word codecs and the OTIS transceiver indexing.
 //! * [`smallvec`] — an inline-first vector for the router layer's
@@ -27,5 +28,5 @@ pub mod smallvec;
 
 pub use bitset::DenseBitset;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use par::{num_threads, par_for_each_chunk, par_map};
+pub use par::{num_threads, par_chunks_with, par_map, par_workers};
 pub use smallvec::SmallVec;
