@@ -210,29 +210,14 @@ impl NextHopTable {
     /// entries); larger fabrics should route arithmetically.
     pub const MAX_NODES: usize = 8192;
 
-    /// Build the table for `g`, or report [`TableCapExceeded`] when
-    /// the quadratic storage would blow past [`Self::MAX_NODES`].
+    /// Build the table for `g` by parallel reverse-BFS, one source per
+    /// destination, or report [`TableCapExceeded`] when the quadratic
+    /// storage would blow past [`Self::MAX_NODES`].
     pub fn try_build(g: &Digraph) -> Result<Self, TableCapExceeded> {
         let n = g.node_count();
         if n > Self::MAX_NODES {
             return Err(TableCapExceeded::dense(n));
         }
-        Ok(Self::build_unchecked(g))
-    }
-
-    /// Build the table for `g` by parallel reverse-BFS, one source per
-    /// destination. Panics (with the [`TableCapExceeded`] message) on
-    /// fabrics beyond [`Self::MAX_NODES`]; use [`Self::try_build`] to
-    /// handle that case gracefully.
-    pub fn build(g: &Digraph) -> Self {
-        match Self::try_build(g) {
-            Ok(table) => table,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    fn build_unchecked(g: &Digraph) -> Self {
-        let n = g.node_count();
         let rev = crate::ops::reverse(g);
         // One (next, dist) column pair per destination; chunked so each
         // worker reuses its BFS buffers across its whole shard.
@@ -274,11 +259,11 @@ impl NextHopTable {
             next.extend(next_chunk);
             dist.extend(dist_chunk);
         }
-        NextHopTable {
+        Ok(NextHopTable {
             n,
             next: next.into_boxed_slice(),
             dist: dist.into_boxed_slice(),
-        }
+        })
     }
 
     /// Number of vertices the table covers.
@@ -422,7 +407,7 @@ mod tests {
     #[test]
     fn next_hop_table_on_cycle() {
         let g = cycle(7);
-        let table = NextHopTable::build(&g);
+        let table = NextHopTable::try_build(&g).expect("under the cap");
         for u in 0..7u32 {
             for dst in 0..7u32 {
                 assert_eq!(table.distance(u, dst), (dst + 7 - u) % 7);
@@ -440,7 +425,7 @@ mod tests {
         // Irregular digraph: cycle plus multiplicative chords.
         let n = 97u32;
         let g = Digraph::from_fn(n as usize, |u| vec![(u + 1) % n, (u * 5 + 2) % n]);
-        let table = NextHopTable::build(&g);
+        let table = NextHopTable::try_build(&g).expect("under the cap");
         for src in 0..n {
             let dist = distances(&g, src);
             for dst in 0..n {
@@ -476,7 +461,7 @@ mod tests {
     #[test]
     fn next_hop_table_unreachable_is_none() {
         let g = Digraph::from_fn(3, |u| if u == 0 { vec![1] } else { vec![] });
-        let table = NextHopTable::build(&g);
+        let table = NextHopTable::try_build(&g).expect("under the cap");
         assert_eq!(table.next_hop(0, 1), Some(1));
         assert_eq!(table.next_hop(1, 0), None);
         assert_eq!(table.distance(2, 0), INFINITY);

@@ -104,15 +104,6 @@ impl CompressedNextHopTable {
         Ok(Self::from_rows(n, chunks.into_iter().flatten()))
     }
 
-    /// As [`Self::try_build`], panicking (with the cap message) on
-    /// oversized fabrics.
-    pub fn build(g: &Digraph) -> Self {
-        match Self::try_build(g) {
-            Ok(table) => table,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
     /// Assemble a table from externally computed runs, one row per
     /// source in id order. Each row must start at destination 0 and be
     /// strictly ascending; adjacent runs with identical `(hop, dist)`
@@ -421,8 +412,8 @@ mod tests {
     /// Every `(u, dst)` query must agree with the dense table — hops
     /// included, since both pick the smallest descending neighbor.
     fn assert_matches_dense(g: &Digraph) {
-        let dense = NextHopTable::build(g);
-        let compressed = CompressedNextHopTable::build(g);
+        let dense = NextHopTable::try_build(g).expect("under the cap");
+        let compressed = CompressedNextHopTable::try_build(g).expect("under the cap");
         assert_eq!(compressed.node_count(), g.node_count());
         for u in 0..g.node_count() as u32 {
             for dst in 0..g.node_count() as u32 {
@@ -453,7 +444,7 @@ mod tests {
         // — the locality the whole representation exists to exploit.
         let n = 1u32 << 10;
         let g = Digraph::from_fn(n as usize, |u| [(2 * u) % n, (2 * u + 1) % n]);
-        let table = CompressedNextHopTable::build(&g);
+        let table = CompressedNextHopTable::try_build(&g).expect("under the cap");
         assert!(
             table.run_count() < (n as usize * n as usize) / 10,
             "expected ≥10× compression on B(2,10), got {} runs for {} pairs",
@@ -484,7 +475,7 @@ mod tests {
     #[test]
     fn unreachable_and_self_queries() {
         let g = Digraph::from_fn(3, |u| if u == 0 { vec![1] } else { vec![] });
-        let table = CompressedNextHopTable::build(&g);
+        let table = CompressedNextHopTable::try_build(&g).expect("under the cap");
         assert_eq!(table.next_hop(0, 1), Some(1));
         assert_eq!(table.next_hop(1, 0), None);
         assert_eq!(table.distance(2, 0), INFINITY);
@@ -561,7 +552,7 @@ mod tests {
 
     #[test]
     fn next_hop64_bounds_check_instead_of_panicking() {
-        let table = CompressedNextHopTable::build(&cycle(5));
+        let table = CompressedNextHopTable::try_build(&cycle(5)).expect("under the cap");
         assert_eq!(table.next_hop64(0, 3), Some(1));
         assert_eq!(table.next_hop64(2, 2), None, "self-route needs no hop");
         assert_eq!(table.next_hop64(5, 0), None, "source off the table");

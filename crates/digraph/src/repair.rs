@@ -936,10 +936,15 @@ mod tests {
     fn fresh_table_matches_compressed_build() {
         for g in [debruijn(2, 6), kautz_like()] {
             let table = RepairableNextHopTable::new(&g);
-            assert_eq!(table.snapshot(), CompressedNextHopTable::build(&g));
+            assert_eq!(
+                table.snapshot(),
+                CompressedNextHopTable::try_build(&g).expect("under the cap")
+            );
             assert_eq!(
                 table.run_count(),
-                CompressedNextHopTable::build(&g).run_count()
+                CompressedNextHopTable::try_build(&g)
+                    .expect("under the cap")
+                    .run_count()
             );
         }
     }
@@ -962,7 +967,10 @@ mod tests {
         // repair is also cheaper than a rebuild.
         let back = table.set_arc_alive(11, true);
         assert!(back.runs_patched < total_runs);
-        assert_eq!(table.snapshot(), CompressedNextHopTable::build(&g));
+        assert_eq!(
+            table.snapshot(),
+            CompressedNextHopTable::try_build(&g).expect("under the cap")
+        );
     }
 
     #[test]

@@ -28,12 +28,18 @@
 //!    also inject sequentially (during the decode slot), preserving
 //!    the rotating-scan semantics the frozen reference engine pins.
 //! 3. **Drain** (sharded by *downstream-node* ownership): every node
-//!    with any ready inbound channel drains its in-arcs — up to
-//!    `wavelengths` packets per arc, round-robin over VC classes,
-//!    both starting offsets rotating per cycle. Moves are staged;
-//!    pops are batched. Every buffer a node's drain writes belongs to
-//!    that node's *own* out-arcs, so ownership is disjoint by
-//!    construction — no locks, no CAS loops in the loop. Shard
+//!    with any ready inbound channel drains its in-arcs — up to the
+//!    arc's capacity in packets per arc (`wavelengths`, less any
+//!    faded ones), round-robin over VC classes, both starting offsets
+//!    rotating per cycle. One drain loop serves both kinds of traffic:
+//!    it walks the FIFOs, pops, parks blocked channels and settles the
+//!    ready counts, while a head step chosen once per node decides
+//!    each head — `unicast_head` delivers, drops, or routes and moves
+//!    a packet; `tree_head` delivers a multicast copy's requests and
+//!    replicates it into its child tree arcs. Moves and replicas are
+//!    staged; pops are batched. Every buffer a node's drain writes
+//!    belongs to that node's *own* out-arcs, so ownership is disjoint
+//!    by construction — no locks, no CAS loops in the loop. Shard
 //!    boundaries are rounded to 64-node multiples so workers never
 //!    share a worklist bitset word, and contiguous node ranges keep
 //!    the de Bruijn arc structure (node `v` feeds `dv + c mod n`)
@@ -501,8 +507,8 @@ struct MainState {
     dateline_promotions: u64,
     dateline_relief: u64,
     source_stall_cycles: u64,
-    /// Sources woken by this apply's pops, to relist with their
-    /// inject owners.
+    /// Sources woken by committed pops or a dynamics wake, to relist
+    /// with their inject owners.
     woken: Vec<u32>,
     /// Stranded packets `(packet, node)` awaiting re-placement under
     /// [`StrandedPolicy::Reinject`], FIFO.
@@ -1104,10 +1110,7 @@ fn inject_multicast(
                     let chan = arc * shared.vcs + vc0 as usize;
                     if shared.queues.len[chan].load(Relaxed) >= shared.buffers {
                         main.source_stall_cycles += 1;
-                        shared.source_parked_at[src].store(cycle, Relaxed);
-                        let first = shared.source_waiter_head[chan].load(Relaxed);
-                        shared.source_waiter_link[src].store(first, Relaxed);
-                        shared.source_waiter_head[chan].store(src as u32, Relaxed);
+                        park_source(shared, src, chan, cycle);
                         break 'groups;
                     }
                 }
@@ -1337,18 +1340,10 @@ fn inject_source(shared: &SharedRun, ws: &mut WorkerScratch, src: usize, cycle: 
                 ContentionPolicy::Backpressure => {
                     // This source stalls; the others go on. With a
                     // stateless router the blocking channel is
-                    // fixed, so park the source until that channel
-                    // commits a pop instead of re-scanning it
-                    // every cycle (the skipped stalls are settled
-                    // at wake time). Only this source can park on
-                    // its own out-arc channel, so the waiter list
-                    // has one writer.
+                    // fixed, so the source parks on it.
                     ws.stats.source_stalls += 1;
                     if shared.stateless {
-                        shared.source_parked_at[src].store(cycle, Relaxed);
-                        let first = shared.source_waiter_head[chan].load(Relaxed);
-                        shared.source_waiter_link[src].store(first, Relaxed);
-                        shared.source_waiter_head[chan].store(src as u32, Relaxed);
+                        park_source(shared, src, chan, cycle);
                         return false;
                     }
                     return true;
@@ -1356,6 +1351,22 @@ fn inject_source(shared: &SharedRun, ws: &mut WorkerScratch, src: usize, cycle: 
             }
         }
     }
+}
+
+/// Park a stalled source on its full first-hop channel `chan` until
+/// that channel commits a pop, instead of re-scanning it every cycle;
+/// the skipped stall cycles are settled at wake time. Only `src`
+/// itself can park on its own out-arc channel, so the waiter list has
+/// one writer.
+fn park_source(shared: &SharedRun, src: usize, chan: usize, cycle: u64) {
+    // ORDERING: Relaxed — the parking source's injector (a sharded
+    // inject worker, or the main thread for multicast roots) is the
+    // only writer of these words during the phase; the barrier
+    // publishes them to the apply step that wakes the source.
+    shared.source_parked_at[src].store(cycle, Relaxed);
+    let first = shared.source_waiter_head[chan].load(Relaxed);
+    shared.source_waiter_link[src].store(first, Relaxed);
+    shared.source_waiter_head[chan].store(src as u32, Relaxed);
 }
 
 /// Unlink a source's pending head, recycle it at the next apply, and
@@ -1476,7 +1487,10 @@ fn activate(shared: &SharedRun, chan: usize) {
     }
 }
 
-/// Drain every active node in `range` — one worker's shard.
+/// Drain every active node in `range` — one worker's shard. The head
+/// step is chosen once per node, not once per head: unicast and
+/// multicast each get their own monomorphized copy of the one drain
+/// loop, so the unicast hot path never pays for the multicast dispatch.
 fn drain_range(
     shared: &SharedRun,
     range: std::ops::Range<usize>,
@@ -1488,15 +1502,40 @@ fn drain_range(
     // by range); the inject phase's increments were published by the
     // barrier this worker just passed.
     shared.active.for_each_in(range, |node| {
-        if shared.node_ready[node].load(Relaxed) > 0 {
-            drain_node(shared, node, cycle, ws);
+        if shared.node_ready[node].load(Relaxed) == 0 {
+            return;
+        }
+        match shared.trees {
+            Some(trees) => drain_node(shared, node, cycle, ws, move |ws, arc, _, head| {
+                tree_head(shared, trees, ws, arc, cycle, head)
+            }),
+            None => drain_node(shared, node, cycle, ws, move |ws, arc, chan, head| {
+                unicast_head(shared, ws, arc, chan, node as u64, cycle, head)
+            }),
         }
     });
 }
 
+/// What a head step did with the head of one VC FIFO.
+enum Head {
+    /// The head left its FIFO — moved, replicated, delivered, dropped
+    /// or stranded — and the step did its own accounting.
+    Taken,
+    /// The head stays and blocks its class for the rest of the arc's
+    /// drain. `Some(chan)` names a fixed blocker: under boundary
+    /// credits only `chan`'s committed pop can make room, so the
+    /// channel parks on `chan`'s waiter list instead of being
+    /// re-checked every cycle.
+    Blocked(Option<usize>),
+}
+
 /// Drain one node's inbound arcs, rotating the starting arc per cycle
 /// so no in-arc persistently wins the node's downstream buffer space.
-fn drain_node(shared: &SharedRun, node: usize, cycle: u64, ws: &mut WorkerScratch) {
+/// `step(ws, arc, chan, head)` decides each FIFO head.
+fn drain_node<S>(shared: &SharedRun, node: usize, cycle: u64, ws: &mut WorkerScratch, mut step: S)
+where
+    S: FnMut(&mut WorkerScratch, usize, usize, u32) -> Head,
+{
     // ORDERING: Relaxed — this worker owns `node` (and so every word
     // its inbound arcs' drains touch) for the whole drain phase; see
     // the note in `drain_range`.
@@ -1505,26 +1544,11 @@ fn drain_node(shared: &SharedRun, node: usize, cycle: u64, ws: &mut WorkerScratc
     let degree = hi - lo;
     debug_assert!(degree > 0, "ready channels imply inbound arcs");
     let rotation = cycle as usize % degree;
-    // Branch once per node, not once per arc — the unicast hot path
-    // must not pay for the multicast dispatch.
-    match shared.trees {
-        Some(trees) => {
-            for step in 0..degree {
-                let arc = shared.in_arcs[lo + (rotation + step) % degree] as usize;
-                drain_arc_mc(shared, trees, arc, node as u64, cycle, ws);
-                if shared.node_ready[node].load(Relaxed) == 0 {
-                    break;
-                }
-            }
-        }
-        None => {
-            for step in 0..degree {
-                let arc = shared.in_arcs[lo + (rotation + step) % degree] as usize;
-                drain_arc(shared, arc, node as u64, cycle, ws);
-                if shared.node_ready[node].load(Relaxed) == 0 {
-                    break;
-                }
-            }
+    for i in 0..degree {
+        let arc = shared.in_arcs[lo + (rotation + i) % degree] as usize;
+        drain_arc(shared, arc, node, cycle, ws, &mut step);
+        if shared.node_ready[node].load(Relaxed) == 0 {
+            break;
         }
     }
     if shared.node_ready[node].load(Relaxed) == 0 {
@@ -1532,15 +1556,27 @@ fn drain_node(shared: &SharedRun, node: usize, cycle: u64, ws: &mut WorkerScratc
     }
 }
 
-/// Drain one arc: up to `wavelengths` packets off its VC FIFO heads,
+/// Drain one arc: up to its capacity in packets off its VC FIFO heads,
 /// one per class per round (rotating the starting class) so no class
-/// hogs the channels; a blocked head blocks only its own class.
-fn drain_arc(shared: &SharedRun, arc: usize, node: u64, cycle: u64, ws: &mut WorkerScratch) {
+/// hogs the channels; a blocked head blocks only its own class. The
+/// step decides each head; this loop pops, counts, parks, and settles.
+#[inline(always)]
+fn drain_arc<S>(
+    shared: &SharedRun,
+    arc: usize,
+    node: usize,
+    cycle: u64,
+    ws: &mut WorkerScratch,
+    step: &mut S,
+) where
+    S: FnMut(&mut WorkerScratch, usize, usize, u32) -> Head,
+{
     // ORDERING: Relaxed — every atomic this drain touches is owned by
     // this worker during the phase: the arc's FIFO heads and parking
     // words belong to its target node's shard; staged arrivals bump
     // `staged_len` of downstream channels whose *source* node is this
-    // node, so this worker is their sole stager;
+    // node, so this worker is their sole stager, and the same holds
+    // for the waiter lists a blocked channel parks on;
     // delivered_per_link[arc] is bumped only by the arc target's
     // owner; and room checks read phase-stable committed occupancy
     // (pops batch to apply). Cross-phase visibility is the barrier's.
@@ -1575,187 +1611,22 @@ fn drain_arc(shared: &SharedRun, arc: usize, node: u64, cycle: u64, ws: &mut Wor
                 ws.vc_blocked[vc] = true;
                 continue;
             }
-            let dst = shared.arena.dst(head).load(Relaxed);
-            let hops_after = shared.arena.hops(head).load(Relaxed) + 1;
-            if dst as u64 == node {
-                shared.queues.pop_head(chan, head, shared.arena);
-                ws.vc_pops[vc] += 1;
-                ws.freed.push(head);
-                let class = usize::from(shared.hot_dst == Some(dst as u64));
-                ws.stats.delivered += 1;
-                ws.stats.departed += 1;
-                ws.stats.departed_copies += 1;
-                ws.stats.class_delivered[class] += 1;
-                ws.stats.delivered_hops += hops_after as u64;
-                if hops_after > ws.stats.max_hops {
-                    ws.stats.max_hops = hops_after;
+            match step(ws, arc, chan, head) {
+                Head::Taken => {
+                    shared.queues.pop_head(chan, head, shared.arena);
+                    ws.vc_pops[vc] += 1;
+                    ws.stats.activity += 1;
+                    budget -= 1;
+                    progressed = true;
                 }
-                let delivered_here = shared.delivered_per_link[arc].load(Relaxed);
-                shared.delivered_per_link[arc].store(delivered_here + 1, Relaxed);
-                // Total time since offer minus one cycle per hop =
-                // cycles spent waiting (source stall plus queueing).
-                let offered = shared.arena.offered(head).load(Relaxed);
-                let wait = cycle + 1 - offered - hops_after as u64;
-                ws.waits.push(wait);
-                if shared.classified {
-                    ws.class_waits[class].push(wait);
-                }
-                ws.stats.activity += 1;
-                budget -= 1;
-                progressed = true;
-                continue;
-            }
-            if hops_after >= shared.hop_limit {
-                shared.queues.pop_head(chan, head, shared.arena);
-                ws.vc_pops[vc] += 1;
-                ws.freed.push(head);
-                ws.stats.dropped_ttl += 1;
-                ws.stats.departed += 1;
-                ws.stats.departed_copies += 1;
-                ws.stats.class_dropped[usize::from(shared.hot_dst == Some(dst as u64))] += 1;
-                ws.stats.activity += 1;
-                budget -= 1;
-                progressed = true;
-                continue;
-            }
-            let packet_vc = shared.arena.vc(head).load(Relaxed) as u8;
-            // Stateless routers answer this identically every cycle
-            // the head stays blocked — cache the arc in the packet.
-            let next_arc = if shared.stateless {
-                let cached = shared.arena.cached_next(head).load(Relaxed);
-                if cached != NONE {
-                    Some(cached as usize)
-                } else {
-                    let computed = shared
-                        .route_query(&ws.snapshot, node, dst as u64, packet_vc)
-                        .and_then(|next| arc_of(shared.g, node, next));
-                    if let Some(found) = computed {
-                        shared.arena.cached_next(head).store(found as u32, Relaxed);
-                    }
-                    computed
-                }
-            } else {
-                shared
-                    .router
-                    .next_hop_on_vc(node, dst as u64, packet_vc)
-                    .and_then(|next| arc_of(shared.g, node, next))
-            };
-            // Dead-target requery: a cached (or freshly proposed) hop
-            // onto a beam that has since faded to zero is re-asked
-            // once against the now-repaired routing. A router that
-            // still insists on the dead beam strands the head — it is
-            // pulled out of the fabric and resolved per the stranded
-            // policy at apply, instead of wedging the class forever
-            // behind a link that may never come back.
-            let next_arc = match next_arc {
-                Some(found) if shared.arc_dead(found) => {
-                    note_dead_demand(shared, found as u32, cycle);
-                    shared.arena.cached_next(head).store(NONE, Relaxed);
-                    let fresh = shared
-                        .route_query(&ws.snapshot, node, dst as u64, packet_vc)
-                        .and_then(|next| arc_of(shared.g, node, next))
-                        .filter(|&fresh| !shared.arc_dead(fresh));
-                    match fresh {
-                        Some(fresh) => {
-                            if shared.stateless {
-                                shared.arena.cached_next(head).store(fresh as u32, Relaxed);
-                            }
-                            Some(fresh)
-                        }
-                        None => {
-                            shared.queues.pop_head(chan, head, shared.arena);
-                            ws.vc_pops[vc] += 1;
-                            shared.arena.hops(head).store(hops_after, Relaxed);
-                            ws.stranded.push((chan as u32, head));
-                            ws.stats.activity += 1;
-                            budget -= 1;
-                            progressed = true;
-                            continue;
-                        }
-                    }
-                }
-                other => other,
-            };
-            let Some(next_arc) = next_arc else {
-                shared.queues.pop_head(chan, head, shared.arena);
-                ws.vc_pops[vc] += 1;
-                ws.freed.push(head);
-                ws.stats.dropped_unroutable += 1;
-                ws.stats.departed += 1;
-                ws.stats.departed_copies += 1;
-                ws.stats.class_dropped[usize::from(shared.hot_dst == Some(dst as u64))] += 1;
-                ws.stats.activity += 1;
-                budget -= 1;
-                progressed = true;
-                continue;
-            };
-            let next_vc = shared.dateline.next_class_arc(packet_vc, next_arc);
-            let next_chan = next_arc * vcs + next_vc as usize;
-            // Boundary credits: committed occupancy plus this cycle's
-            // staged arrivals; same-cycle pops become room next cycle.
-            let occupied = shared.queues.len[next_chan].load(Relaxed)
-                + shared.queues.staged_len[next_chan].load(Relaxed);
-            let has_room = occupied < shared.buffers;
-            // The one move the class order cannot rank — a top-class
-            // packet wrapping again — is never allowed to block (deep
-            // dateline buffers): that waiver is what makes the
-            // dependency graph acyclic outright, so `Backpressure`
-            // with `vcs ≥ 2` provably cannot reach the all-blocked
-            // state the deadlock detector looks for. Tail-drop never
-            // blocks, so it neither needs nor gets the valve.
-            let relief = !has_room
-                && shared.policy == ContentionPolicy::Backpressure
-                && shared.dateline.needs_relief(packet_vc, next_arc);
-            if relief {
-                ws.stats.relief += 1;
-            }
-            if has_room || relief {
-                shared.queues.pop_head(chan, head, shared.arena);
-                ws.vc_pops[vc] += 1;
-                shared.arena.hops(head).store(hops_after, Relaxed);
-                if next_vc > packet_vc {
-                    ws.stats.promotions += 1;
-                }
-                shared.arena.vc(head).store(next_vc as u32, Relaxed);
-                shared.arena.cached_next(head).store(NONE, Relaxed);
-                let staged = shared.queues.staged_len[next_chan].load(Relaxed);
-                shared.queues.staged_len[next_chan].store(staged + 1, Relaxed);
-                ws.staged.push((next_chan as u32, head));
-                ws.stats.activity += 1;
-                budget -= 1;
-                progressed = true;
-            } else {
-                match shared.policy {
-                    ContentionPolicy::TailDrop => {
-                        shared.queues.pop_head(chan, head, shared.arena);
-                        ws.vc_pops[vc] += 1;
-                        ws.freed.push(head);
-                        ws.stats.dropped_full += 1;
-                        ws.stats.departed += 1;
-                        ws.stats.departed_copies += 1;
-                        ws.stats.class_dropped[usize::from(shared.hot_dst == Some(dst as u64))] +=
-                            1;
-                        ws.stats.activity += 1;
-                        budget -= 1;
-                        progressed = true;
-                    }
-                    // Head-of-line block — this class only. With a
-                    // stateless router the blocker is fixed, and
-                    // under boundary credits its room can only
-                    // reappear through a committed pop — so park the
-                    // channel on the blocker's waiter list and stop
-                    // re-checking it every cycle. (Adaptive routers
-                    // may pick a different candidate next cycle:
-                    // they stay ready and are re-asked.)
-                    ContentionPolicy::Backpressure => {
-                        ws.vc_blocked[vc] = true;
-                        if shared.stateless {
-                            shared.parked[chan].store(1, Relaxed);
-                            let first = shared.waiter_head[next_chan].load(Relaxed);
-                            shared.waiter_link[chan].store(first, Relaxed);
-                            shared.waiter_head[next_chan].store(chan as u32, Relaxed);
-                            parked_here += 1;
-                        }
+                Head::Blocked(blocker) => {
+                    ws.vc_blocked[vc] = true;
+                    if let Some(blocker) = blocker {
+                        shared.parked[chan].store(1, Relaxed);
+                        let first = shared.waiter_head[blocker].load(Relaxed);
+                        shared.waiter_link[chan].store(first, Relaxed);
+                        shared.waiter_head[blocker].store(chan as u32, Relaxed);
+                        parked_here += 1;
                     }
                 }
             }
@@ -1781,186 +1652,267 @@ fn drain_arc(shared: &SharedRun, arc: usize, node: u64, cycle: u64, ws: &mut Wor
         }
     }
     if ready_loss > 0 {
-        let ready = shared.node_ready[node as usize].load(Relaxed);
-        shared.node_ready[node as usize].store(ready - ready_loss, Relaxed);
+        let ready = shared.node_ready[node].load(Relaxed);
+        shared.node_ready[node].store(ready - ready_loss, Relaxed);
     }
 }
 
-/// Drain one arc of a multicast run: up to `wavelengths` copies off
-/// its VC FIFO heads. A drained copy delivers to the requests at its
-/// tree arc's head and **replicates** — one staged child copy per
-/// child tree arc, each promoted per its own arc's dateline crossing.
-/// Under backpressure the branch is all-or-nothing: it blocks (and
-/// parks — trees are static, so the blocker is fixed) until every
-/// non-relief child FIFO has room; under tail-drop a full child
-/// drops with its entire subtree weight while its siblings proceed.
-fn drain_arc_mc(
+/// The unicast head step, at the head's current `node`: deliver, drop
+/// on the hop budget, route (through the per-packet cache), requery a
+/// dead target or strand, drop the unroutable, then move (with
+/// dateline promotion or relief), tail-drop, or block.
+#[inline(always)]
+fn unicast_head(
     shared: &SharedRun,
-    trees: &TreeSet,
+    ws: &mut WorkerScratch,
     arc: usize,
+    chan: usize,
     node: u64,
     cycle: u64,
+    head: u32,
+) -> Head {
+    // ORDERING: Relaxed — the head's packet words and this arc's
+    // delivery counter are owned by the draining worker, and staged
+    // arrivals go to this node's own out-arc channels; see the note
+    // in `drain_arc`.
+    let dst = shared.arena.dst(head).load(Relaxed);
+    let hops_after = shared.arena.hops(head).load(Relaxed) + 1;
+    if dst as u64 == node {
+        ws.freed.push(head);
+        let class = usize::from(shared.hot_dst == Some(dst as u64));
+        ws.stats.delivered += 1;
+        ws.stats.departed += 1;
+        ws.stats.departed_copies += 1;
+        ws.stats.class_delivered[class] += 1;
+        ws.stats.delivered_hops += hops_after as u64;
+        if hops_after > ws.stats.max_hops {
+            ws.stats.max_hops = hops_after;
+        }
+        let delivered_here = shared.delivered_per_link[arc].load(Relaxed);
+        shared.delivered_per_link[arc].store(delivered_here + 1, Relaxed);
+        // Total time since offer minus one cycle per hop = cycles
+        // spent waiting (source stall plus queueing).
+        let offered = shared.arena.offered(head).load(Relaxed);
+        let wait = cycle + 1 - offered - hops_after as u64;
+        ws.waits.push(wait);
+        if shared.classified {
+            ws.class_waits[class].push(wait);
+        }
+        return Head::Taken;
+    }
+    if hops_after >= shared.hop_limit {
+        ws.stats.dropped_ttl += 1;
+        return drop_packet(shared, ws, head, dst);
+    }
+    let packet_vc = shared.arena.vc(head).load(Relaxed) as u8;
+    // Stateless routers answer this identically every cycle the head
+    // stays blocked — cache the arc in the packet.
+    let next_arc = if shared.stateless {
+        let cached = shared.arena.cached_next(head).load(Relaxed);
+        if cached != NONE {
+            Some(cached as usize)
+        } else {
+            let computed = shared
+                .route_query(&ws.snapshot, node, dst as u64, packet_vc)
+                .and_then(|next| arc_of(shared.g, node, next));
+            if let Some(found) = computed {
+                shared.arena.cached_next(head).store(found as u32, Relaxed);
+            }
+            computed
+        }
+    } else {
+        shared
+            .router
+            .next_hop_on_vc(node, dst as u64, packet_vc)
+            .and_then(|next| arc_of(shared.g, node, next))
+    };
+    // Dead-target requery: a cached (or freshly proposed) hop onto a
+    // beam that has since faded to zero is re-asked once against the
+    // now-repaired routing. A router that still insists on the dead
+    // beam strands the head — it is pulled out of the fabric and
+    // resolved per the stranded policy at apply, instead of wedging
+    // the class forever behind a link that may never come back.
+    let next_arc = match next_arc {
+        Some(found) if shared.arc_dead(found) => {
+            note_dead_demand(shared, found as u32, cycle);
+            shared.arena.cached_next(head).store(NONE, Relaxed);
+            let fresh = shared
+                .route_query(&ws.snapshot, node, dst as u64, packet_vc)
+                .and_then(|next| arc_of(shared.g, node, next))
+                .filter(|&fresh| !shared.arc_dead(fresh));
+            let Some(fresh) = fresh else {
+                shared.arena.hops(head).store(hops_after, Relaxed);
+                ws.stranded.push((chan as u32, head));
+                return Head::Taken;
+            };
+            if shared.stateless {
+                shared.arena.cached_next(head).store(fresh as u32, Relaxed);
+            }
+            Some(fresh)
+        }
+        other => other,
+    };
+    let Some(next_arc) = next_arc else {
+        ws.stats.dropped_unroutable += 1;
+        return drop_packet(shared, ws, head, dst);
+    };
+    let next_vc = shared.dateline.next_class_arc(packet_vc, next_arc);
+    let next_chan = next_arc * shared.vcs + next_vc as usize;
+    // Boundary credits: committed occupancy plus this cycle's staged
+    // arrivals; same-cycle pops become room next cycle.
+    let staged = shared.queues.staged_len[next_chan].load(Relaxed);
+    let has_room = shared.queues.len[next_chan].load(Relaxed) + staged < shared.buffers;
+    // The one move the class order cannot rank — a top-class packet
+    // wrapping again — is never allowed to block (deep dateline
+    // buffers): that waiver is what makes the dependency graph acyclic
+    // outright, so `Backpressure` with `vcs ≥ 2` provably cannot reach
+    // the all-blocked state the deadlock detector looks for. Tail-drop
+    // never blocks, so it neither needs nor gets the valve.
+    let relief = !has_room
+        && shared.policy == ContentionPolicy::Backpressure
+        && shared.dateline.needs_relief(packet_vc, next_arc);
+    if has_room || relief {
+        if relief {
+            ws.stats.relief += 1;
+        }
+        shared.arena.hops(head).store(hops_after, Relaxed);
+        if next_vc > packet_vc {
+            ws.stats.promotions += 1;
+        }
+        shared.arena.vc(head).store(next_vc as u32, Relaxed);
+        shared.arena.cached_next(head).store(NONE, Relaxed);
+        shared.queues.staged_len[next_chan].store(staged + 1, Relaxed);
+        ws.staged.push((next_chan as u32, head));
+        return Head::Taken;
+    }
+    match shared.policy {
+        ContentionPolicy::TailDrop => {
+            ws.stats.dropped_full += 1;
+            drop_packet(shared, ws, head, dst)
+        }
+        // Head-of-line block — this class only. With a stateless
+        // router the blocker is fixed, so the channel parks on it.
+        // (Adaptive routers may pick a different candidate next cycle:
+        // they stay ready and are re-asked.)
+        ContentionPolicy::Backpressure => Head::Blocked(shared.stateless.then_some(next_chan)),
+    }
+}
+
+/// Retire a unicast head as dropped; the caller counts the cause.
+#[inline(always)]
+fn drop_packet(shared: &SharedRun, ws: &mut WorkerScratch, head: u32, dst: u32) -> Head {
+    ws.freed.push(head);
+    ws.stats.departed += 1;
+    ws.stats.departed_copies += 1;
+    ws.stats.class_dropped[usize::from(shared.hot_dst == Some(dst as u64))] += 1;
+    Head::Taken
+}
+
+/// The multicast head step. A drained copy delivers to the requests
+/// at its tree arc's head and **replicates** — one staged child copy
+/// per child tree arc, each promoted per its own arc's dateline
+/// crossing. Under backpressure the branch is all-or-nothing: it
+/// blocks on the first full non-relief child FIFO (trees are static,
+/// so that blocker is fixed); under tail-drop a full child drops with
+/// its entire subtree weight while its siblings proceed.
+#[inline(always)]
+fn tree_head(
+    shared: &SharedRun,
+    trees: &TreeSet,
     ws: &mut WorkerScratch,
-) {
-    // ORDERING: Relaxed — same ownership discipline as `drain_arc`:
-    // this worker owns the arc's target node, so the FIFO heads,
-    // parking words, and per-arc delivery counter are single-writer
-    // here, staged child copies bump channels whose source node is
-    // this node, and all cross-phase visibility rides the barrier.
-    let vcs = shared.vcs;
-    let vc_start = cycle as usize % vcs;
-    let mut budget = shared.wavelengths;
-    let mut parked_here = 0u32;
-    ws.vc_blocked[..vcs].fill(false);
-    ws.vc_pops[..vcs].fill(0);
-    'link: loop {
-        let mut progressed = false;
-        for offset in 0..vcs {
-            if budget == 0 {
-                break 'link;
-            }
-            let vc = (vc_start + offset) % vcs;
-            if ws.vc_blocked[vc] {
-                continue;
-            }
-            let chan = arc * vcs + vc;
-            if shared.parked[chan].load(Relaxed) != 0 {
-                ws.vc_blocked[vc] = true;
-                continue;
-            }
-            let head = shared.queues.head[chan].load(Relaxed);
-            if head == NONE {
-                ws.vc_blocked[vc] = true;
-                continue;
-            }
-            let t = shared.arena.dst(head).load(Relaxed);
-            let hops_after = shared.arena.hops(head).load(Relaxed) + 1;
-            debug_assert_eq!(trees.fabric_arc(t), arc, "copy rode the wrong link");
-            if hops_after >= shared.hop_limit {
-                // Unreachable for honest trees (depth ≤ diameter), but
-                // the budget stays authoritative: the whole subtree
-                // retires.
-                shared.queues.pop_head(chan, head, shared.arena);
-                ws.vc_pops[vc] += 1;
-                ws.freed.push(head);
-                ws.stats.dropped_ttl += trees.weight(t) as usize;
-                ws.stats.departed += trees.weight(t) as usize;
-                ws.stats.departed_copies += 1;
-                ws.stats.activity += 1;
-                budget -= 1;
-                progressed = true;
-                continue;
-            }
-            let packet_vc = shared.arena.vc(head).load(Relaxed) as u8;
-            let children = trees.children(t);
-            if shared.policy == ContentionPolicy::Backpressure {
-                // All-or-nothing branch: find the first child whose
-                // FIFO is full and not relief-exempt.
-                let blocker = children.iter().find_map(|&child| {
-                    let child_arc = trees.fabric_arc(child);
-                    let child_vc = shared.dateline.next_class_arc(packet_vc, child_arc);
-                    let child_chan = child_arc * vcs + child_vc as usize;
-                    let occupied = shared.queues.len[child_chan].load(Relaxed)
-                        + shared.queues.staged_len[child_chan].load(Relaxed);
-                    (occupied >= shared.buffers
-                        && !shared.dateline.needs_relief(packet_vc, child_arc))
-                    .then_some(child_chan)
-                });
-                if let Some(blocking_chan) = blocker {
-                    // Head-of-line block, this class only; the tree is
-                    // static, so park on the blocker until it pops.
-                    ws.vc_blocked[vc] = true;
-                    shared.parked[chan].store(1, Relaxed);
-                    let first = shared.waiter_head[blocking_chan].load(Relaxed);
-                    shared.waiter_link[chan].store(first, Relaxed);
-                    shared.waiter_head[blocking_chan].store(chan as u32, Relaxed);
-                    parked_here += 1;
+    arc: usize,
+    cycle: u64,
+    head: u32,
+) -> Head {
+    // ORDERING: Relaxed — same ownership discipline as `unicast_head`:
+    // the copy and this arc's delivery counter are the draining
+    // worker's, and staged child copies bump channels whose source
+    // node is this node.
+    let t = shared.arena.dst(head).load(Relaxed);
+    let hops_after = shared.arena.hops(head).load(Relaxed) + 1;
+    debug_assert_eq!(trees.fabric_arc(t), arc, "copy rode the wrong link");
+    if hops_after >= shared.hop_limit {
+        // Only an explicit hop limit below the tree depth gets here
+        // (the default budget exceeds any tree's depth): the whole
+        // subtree retires, requests at this node included.
+        ws.freed.push(head);
+        ws.stats.dropped_ttl += trees.weight(t) as usize;
+        ws.stats.departed += trees.weight(t) as usize;
+        ws.stats.departed_copies += 1;
+        return Head::Taken;
+    }
+    let packet_vc = shared.arena.vc(head).load(Relaxed) as u8;
+    let children = trees.children(t);
+    if shared.policy == ContentionPolicy::Backpressure {
+        // All-or-nothing branch: the first child whose FIFO is full
+        // and not relief-exempt blocks the copy.
+        let blocker = children.iter().find_map(|&child| {
+            let child_arc = trees.fabric_arc(child);
+            let child_vc = shared.dateline.next_class_arc(packet_vc, child_arc);
+            let child_chan = child_arc * shared.vcs + child_vc as usize;
+            let occupied = shared.queues.len[child_chan].load(Relaxed)
+                + shared.queues.staged_len[child_chan].load(Relaxed);
+            (occupied >= shared.buffers && !shared.dateline.needs_relief(packet_vc, child_arc))
+                .then_some(child_chan)
+        });
+        if blocker.is_some() {
+            return Head::Blocked(blocker);
+        }
+    }
+    // Commit: the copy leaves its FIFO, delivers its requests, and
+    // replicates into its children.
+    let offered = shared.arena.offered(head).load(Relaxed);
+    let deliveries = trees.deliveries(t) as usize;
+    if deliveries > 0 {
+        ws.stats.delivered += deliveries;
+        ws.stats.departed += deliveries;
+        ws.stats.delivered_hops += deliveries as u64 * hops_after as u64;
+        if hops_after > ws.stats.max_hops {
+            ws.stats.max_hops = hops_after;
+        }
+        let delivered_here = shared.delivered_per_link[arc].load(Relaxed);
+        shared.delivered_per_link[arc].store(delivered_here + deliveries as u64, Relaxed);
+        let wait = cycle + 1 - offered - hops_after as u64;
+        for _ in 0..deliveries {
+            ws.waits.push(wait);
+        }
+    }
+    for &child in children {
+        let child_arc = trees.fabric_arc(child);
+        let child_vc = shared.dateline.next_class_arc(packet_vc, child_arc);
+        let child_chan = child_arc * shared.vcs + child_vc as usize;
+        let staged = shared.queues.staged_len[child_chan].load(Relaxed);
+        if shared.queues.len[child_chan].load(Relaxed) + staged >= shared.buffers {
+            match shared.policy {
+                ContentionPolicy::TailDrop => {
+                    // The full child's whole subtree drops; its
+                    // siblings still replicate.
+                    ws.stats.dropped_full += trees.weight(child) as usize;
+                    ws.stats.departed += trees.weight(child) as usize;
                     continue;
                 }
-            }
-            // Commit: the copy leaves this FIFO, delivers its
-            // requests, and replicates into its children.
-            shared.queues.pop_head(chan, head, shared.arena);
-            ws.vc_pops[vc] += 1;
-            let offered = shared.arena.offered(head).load(Relaxed);
-            let deliveries = trees.deliveries(t) as usize;
-            if deliveries > 0 {
-                ws.stats.delivered += deliveries;
-                ws.stats.departed += deliveries;
-                ws.stats.delivered_hops += deliveries as u64 * hops_after as u64;
-                if hops_after > ws.stats.max_hops {
-                    ws.stats.max_hops = hops_after;
-                }
-                let delivered_here = shared.delivered_per_link[arc].load(Relaxed);
-                shared.delivered_per_link[arc].store(delivered_here + deliveries as u64, Relaxed);
-                let wait = cycle + 1 - offered - hops_after as u64;
-                for _ in 0..deliveries {
-                    ws.waits.push(wait);
-                }
-            }
-            for &child in children {
-                let child_arc = trees.fabric_arc(child);
-                let child_vc = shared.dateline.next_class_arc(packet_vc, child_arc);
-                let child_chan = child_arc * vcs + child_vc as usize;
-                let staged = shared.queues.staged_len[child_chan].load(Relaxed);
-                let occupied = shared.queues.len[child_chan].load(Relaxed) + staged;
-                if occupied >= shared.buffers {
-                    match shared.policy {
-                        ContentionPolicy::TailDrop => {
-                            // The full child's whole subtree drops;
-                            // its siblings still replicate.
-                            ws.stats.dropped_full += trees.weight(child) as usize;
-                            ws.stats.departed += trees.weight(child) as usize;
-                            continue;
-                        }
-                        // Backpressure screened above: a full child
-                        // here is the relief move, admitted past the
-                        // cap (deep dateline buffers).
-                        ContentionPolicy::Backpressure => ws.stats.relief += 1,
-                    }
-                }
-                if child_vc > packet_vc {
-                    ws.stats.promotions += 1;
-                }
-                shared.queues.staged_len[child_chan].store(staged + 1, Relaxed);
-                ws.spawned.push(Spawn {
-                    chan: child_chan as u32,
-                    tree_arc: child,
-                    offered,
-                    hops: hops_after,
-                    vc: child_vc,
-                });
-                ws.stats.spawned_copies += 1;
-            }
-            ws.freed.push(head);
-            ws.stats.departed_copies += 1;
-            ws.stats.activity += 1;
-            budget -= 1;
-            progressed = true;
-        }
-        if !progressed {
-            break;
-        }
-    }
-    // Batch pops and settle the node's ready count — same contract as
-    // the unicast drain.
-    let mut ready_loss = parked_here;
-    for vc in 0..vcs {
-        let popped = ws.vc_pops[vc];
-        if popped > 0 {
-            let chan = arc * vcs + vc;
-            ws.pops.push((chan as u32, popped));
-            if shared.parked[chan].load(Relaxed) == 0
-                && shared.queues.head[chan].load(Relaxed) == NONE
-            {
-                ready_loss += 1;
+                // Backpressure screened above: a full child here is
+                // the relief move, admitted past the cap (deep
+                // dateline buffers).
+                ContentionPolicy::Backpressure => ws.stats.relief += 1,
             }
         }
+        if child_vc > packet_vc {
+            ws.stats.promotions += 1;
+        }
+        shared.queues.staged_len[child_chan].store(staged + 1, Relaxed);
+        ws.spawned.push(Spawn {
+            chan: child_chan as u32,
+            tree_arc: child,
+            offered,
+            hops: hops_after,
+            vc: child_vc,
+        });
+        ws.stats.spawned_copies += 1;
     }
-    if ready_loss > 0 {
-        let ready = shared.node_ready[node as usize].load(Relaxed);
-        shared.node_ready[node as usize].store(ready - ready_loss, Relaxed);
-    }
+    ws.freed.push(head);
+    ws.stats.departed_copies += 1;
+    Head::Taken
 }
 
 /// Fire every timeline transition due at this cycle: store the new
@@ -2069,8 +2021,9 @@ fn repair_link(shared: &SharedRun, main: &mut MainState, arc: usize, alive: bool
 /// demand for the dead link.
 fn strand_channels(shared: &SharedRun, main: &mut MainState, arc: usize) -> bool {
     // ORDERING: Relaxed — sequential slot; see `apply_dynamics`.
-    let target = shared.g.arc_target(arc) as usize;
+    let (source, target) = (shared.g.arc_source(arc), shared.g.arc_target(arc) as usize);
     let mut allocator = None;
+    let lock = || shared.allocator.lock().expect("arena allocator");
     let mut stranded_any = false;
     for vc in 0..shared.vcs {
         let chan = arc * shared.vcs + vc;
@@ -2095,17 +2048,13 @@ fn strand_channels(shared: &SharedRun, main: &mut MainState, arc: usize) -> bool
         }
         while head != NONE {
             let next = shared.arena.link(head).load(Relaxed);
-            match shared.stranded_policy {
-                StrandedPolicy::Reinject => {
-                    shared.arena.cached_next(head).store(NONE, Relaxed);
-                    main.backlog.push_back((head, shared.g.arc_source(arc)));
-                }
-                StrandedPolicy::Drop => {
-                    let allocator = allocator
-                        .get_or_insert_with(|| shared.allocator.lock().expect("arena allocator"));
-                    drop_stranded(shared, main, allocator, head);
-                }
-            }
+            resolve_stranded(
+                shared,
+                main,
+                || &mut **allocator.get_or_insert_with(lock),
+                head,
+                source,
+            );
             head = next;
         }
         shared.queues.head[chan].store(NONE, Relaxed);
@@ -2114,6 +2063,27 @@ fn strand_channels(shared: &SharedRun, main: &mut MainState, arc: usize) -> bool
         shared.counts[chan].store(0, Relaxed);
     }
     stranded_any
+}
+
+/// Resolve packet `id`, stranded at `node` by a dead beam, per the
+/// stranded policy: into the re-placement backlog, or dropped out of
+/// the network. `allocator` is called only for a drop, so a caller
+/// may take the allocator lock lazily.
+fn resolve_stranded<'a>(
+    shared: &SharedRun,
+    main: &mut MainState,
+    allocator: impl FnOnce() -> &'a mut ArenaAllocator,
+    id: u32,
+    node: u32,
+) {
+    match shared.stranded_policy {
+        StrandedPolicy::Reinject => {
+            // ORDERING: Relaxed — sequential slot; see `apply_dynamics`.
+            shared.arena.cached_next(id).store(NONE, Relaxed);
+            main.backlog.push_back((id, node));
+        }
+        StrandedPolicy::Drop => drop_stranded(shared, main, allocator(), id),
+    }
 }
 
 /// Account one stranded packet out of the network under
@@ -2164,26 +2134,46 @@ fn wake_all(shared: &SharedRun, main: &mut MainState, scratches: &[Mutex<WorkerS
         }
     }
     for src in 0..shared.g.node_count() {
-        let parked_at = shared.source_parked_at[src].load(Relaxed);
-        if parked_at == u64::MAX {
-            continue;
+        if shared.source_parked_at[src].load(Relaxed) != u64::MAX {
+            unpark_source(shared, main, src);
+            woken += 1;
         }
-        // The cycles the scan skipped would each have counted one
-        // stall — same settlement as the pop-driven wake.
-        main.source_stall_cycles += main.cycle - parked_at;
-        shared.source_parked_at[src].store(u64::MAX, Relaxed);
-        shared.source_waiter_link[src].store(NONE, Relaxed);
+    }
+    relist_woken(shared, main, scratches);
+    woken
+}
+
+/// Wake a parked source: settle the stall cycles its skipped scans
+/// would each have counted, and queue it for relisting. Returns the
+/// next source on its waiter list.
+fn unpark_source(shared: &SharedRun, main: &mut MainState, src: usize) -> u32 {
+    // ORDERING: Relaxed — sequential slot (apply or a dynamics
+    // event), every worker parked at the barrier.
+    main.source_stall_cycles += main.cycle - shared.source_parked_at[src].load(Relaxed);
+    shared.source_parked_at[src].store(u64::MAX, Relaxed);
+    main.woken.push(src as u32);
+    let next = shared.source_waiter_link[src].load(Relaxed);
+    shared.source_waiter_link[src].store(NONE, Relaxed);
+    next
+}
+
+/// Woken unicast sources rejoin their owner's inject list (the
+/// multicast scan needs no list; its sources have no entry queue, so
+/// the head check skips them).
+fn relist_woken(shared: &SharedRun, main: &mut MainState, scratches: &[Mutex<WorkerScratch>]) {
+    // ORDERING: Relaxed — sequential slot; the next phase barrier
+    // publishes the listed flags with the lists.
+    for woken in main.woken.drain(..) {
+        let src = woken as usize;
         if shared.src_listed[src].load(Relaxed) == 0 && shared.src_head[src].load(Relaxed) != NONE {
             shared.src_listed[src].store(1, Relaxed);
             scratches[shared.list_owner(src)]
                 .lock()
-                .expect("wake scratch")
+                .expect("relist scratch")
                 .sources
-                .push(src as u32);
+                .push(woken);
         }
-        woken += 1;
     }
-    woken
 }
 
 /// Re-place the stranded backlog (the `Reinject` policy): each packet
@@ -2303,16 +2293,7 @@ fn apply(
             let mut source = shared.source_waiter_head[chan].load(Relaxed);
             shared.source_waiter_head[chan].store(NONE, Relaxed);
             while source != NONE {
-                let slot = source as usize;
-                // The cycles the scan skipped would each have counted
-                // one stall: settle them now.
-                let parked_at = shared.source_parked_at[slot].load(Relaxed);
-                main.source_stall_cycles += main.cycle - parked_at;
-                shared.source_parked_at[slot].store(u64::MAX, Relaxed);
-                main.woken.push(source);
-                let next = shared.source_waiter_link[slot].load(Relaxed);
-                shared.source_waiter_link[slot].store(NONE, Relaxed);
-                source = next;
+                source = unpark_source(shared, main, source as usize);
             }
         }
         ws.pops.clear();
@@ -2378,15 +2359,7 @@ fn apply(
         stranded.sort_by_key(|&(chan, _)| chan);
         for (chan, id) in stranded {
             let node = shared.g.arc_target(chan as usize / shared.vcs);
-            match shared.stranded_policy {
-                StrandedPolicy::Reinject => {
-                    shared.arena.cached_next(id).store(NONE, Relaxed);
-                    main.backlog.push_back((id, node));
-                }
-                StrandedPolicy::Drop => {
-                    drop_stranded(shared, main, &mut allocator, id);
-                }
-            }
+            resolve_stranded(shared, main, || &mut *allocator, id, node);
         }
     }
     for cell in scratches {
@@ -2409,20 +2382,7 @@ fn apply(
             push_packet(shared, spawn.chan as usize, id, main.cycle);
         }
     }
-    // Woken unicast sources rejoin their owner's inject list (the
-    // multicast scan needs no list; its sources have no entry queue,
-    // so the head check skips them).
-    for woken in main.woken.drain(..) {
-        let src = woken as usize;
-        if shared.src_listed[src].load(Relaxed) == 0 && shared.src_head[src].load(Relaxed) != NONE {
-            shared.src_listed[src].store(1, Relaxed);
-            scratches[shared.list_owner(src)]
-                .lock()
-                .expect("relist scratch")
-                .sources
-                .push(woken);
-        }
-    }
+    relist_woken(shared, main, scratches);
     activity
 }
 

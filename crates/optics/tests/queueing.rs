@@ -89,6 +89,12 @@ fn config_from(buffers: usize, wavelengths: usize, vcs: usize, tail_drop: bool) 
     }
 }
 
+/// No hop budget, or a small one (2–4 hops) that retires packets and
+/// multicast subtrees mid-route on the `B(2,3..6)` fabrics below.
+fn hop_limits() -> impl Strategy<Value = Option<u32>> {
+    (1u32..5).prop_map(|h| (h > 1).then_some(h))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -635,6 +641,7 @@ proptest! {
         vcs in 1usize..3,
         tail_drop in any::<bool>(),
         adaptive in any::<bool>(),
+        hop_limit in hop_limits(),
         seed in any::<u64>(),
     ) {
         let b = DeBruijn::new(2, dim);
@@ -652,7 +659,7 @@ proptest! {
                 } else {
                     ContentionPolicy::Backpressure
                 },
-                hop_limit: None,
+                hop_limit,
                 max_cycles: 50_000,
                 drain_threads: threads,
             };
@@ -876,6 +883,7 @@ proptest! {
         fanout in 1u32..10,
         vcs in 1usize..3,
         hotspot_rooted in any::<bool>(),
+        hop_limit in hop_limits(),
         seed in any::<u64>(),
     ) {
         let b = DeBruijn::new(2, dim);
@@ -895,18 +903,33 @@ proptest! {
             wavelengths: 1,
             vcs,
             policy: ContentionPolicy::Backpressure,
-            hop_limit: None,
+            hop_limit,
             max_cycles: 1_000_000,
             drain_threads: threads,
         };
+        let router = DeBruijnRouter::new(b);
         let reference = ReferenceEngine::from_family(&b, config(1));
-        let expected = reference.run_multicast(&DeBruijnRouter::new(b), &groups, offered);
+        let expected = reference.run_multicast(&router, &groups, offered);
         prop_assert!(expected.conserves_packets());
-        prop_assert_eq!(expected.dropped(), 0);
+        // Uncontended, the hop budget is the only way to lose a leaf:
+        // a copy that reaches hop `h` retires its whole subtree, so
+        // exactly the leaves `h` or more hops from their root drop.
+        let beyond_budget = hop_limit.map_or(0, |h| {
+            groups
+                .iter()
+                .flat_map(|g| g.dsts.iter().map(move |&dst| (g.root, dst)))
+                .filter(|&(root, dst)| router.debruijn_distance(root, dst) >= h)
+                .count()
+        });
+        prop_assert_eq!(expected.dropped_ttl, beyond_budget);
+        prop_assert_eq!(expected.dropped(), beyond_budget);
+        if hop_limit.is_some_and(|h| h < dim) {
+            prop_assert!(expected.dropped_ttl > 0, "a budget below the diameter drops leaves");
+        }
         let expected = serde_json::to_string(&expected).expect("report serializes");
         for threads in [1usize, 2, 8] {
             let engine = QueueingEngine::from_family(&b, config(threads));
-            let report = engine.run_multicast(&DeBruijnRouter::new(b), &groups, offered);
+            let report = engine.run_multicast(&router, &groups, offered);
             let json = serde_json::to_string(&report).expect("report serializes");
             prop_assert_eq!(
                 &json,
@@ -929,6 +952,7 @@ proptest! {
         vcs in 1usize..3,
         tail_drop in any::<bool>(),
         fanout in 2u32..10,
+        hop_limit in hop_limits(),
         seed in any::<u64>(),
     ) {
         let b = DeBruijn::new(2, dim);
@@ -950,7 +974,7 @@ proptest! {
                 } else {
                     ContentionPolicy::Backpressure
                 },
-                hop_limit: None,
+                hop_limit,
                 max_cycles: 50_000,
                 drain_threads: threads,
             };
