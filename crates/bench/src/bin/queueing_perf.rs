@@ -397,7 +397,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
             let b = DeBruijn::new(2, 14);
             let n = b.node_count();
             let workload = generate_workload(TrafficPattern::Hotspot, n, 2, 1_000_000, 14);
-            let table = RoutingTable::from_debruijn(&b);
+            let table = RoutingTable::try_from_debruijn(&b).expect("fabric is under the table cap");
             assert!(table.is_compressed());
             let config = QueueConfig {
                 buffers: 16,
@@ -546,7 +546,7 @@ fn run_scenario(name: &str) -> Option<ScenarioResult> {
             let b = DeBruijn::new(2, 16);
             let n = b.node_count();
             let workload = generate_workload(TrafficPattern::Uniform, n, 2, 200_000, 16);
-            let table = RoutingTable::from_debruijn(&b);
+            let table = RoutingTable::try_from_debruijn(&b).expect("fabric is under the table cap");
             assert!(table.is_compressed());
             let config = QueueConfig {
                 buffers: 8,

@@ -799,6 +799,17 @@ fn print_queueing_body(report: &otis_optics::QueueingReport, options: &TrafficOp
             }
         );
     }
+    if report.uninjected > 0 {
+        println!(
+            "  uninjected        : {} {unit} never injected ({})",
+            report.uninjected,
+            if report.deadlocked {
+                "cut short by the backpressure DEADLOCK"
+            } else {
+                "truncated at the cycle horizon"
+            }
+        );
+    }
     println!(
         "  hops              : mean {:.2}, max {}",
         report.mean_hops(),

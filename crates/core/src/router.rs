@@ -376,7 +376,7 @@ impl TableBacking {
 /// `O(total runs)` memory instead of `O(n²)`, `O(log runs)` per
 /// query. Works on any materialized fabric — de Bruijn, Kautz,
 /// `II`/`RRK` at non-power sizes, faulted networks; for de Bruijn
-/// fabrics at scale prefer [`RoutingTable::from_debruijn`], which
+/// fabrics at scale prefer [`RoutingTable::try_from_debruijn`], which
 /// derives the compressed runs arithmetically instead of paying one
 /// BFS per source.
 #[derive(Debug, Clone)]
@@ -488,17 +488,9 @@ impl RoutingTable {
         })
     }
 
-    /// As [`RoutingTable::try_from_debruijn`], panicking past the
-    /// compressed cap.
-    pub fn from_debruijn(b: &DeBruijn) -> Self {
-        match Self::try_from_debruijn(b) {
-            Ok(table) => table,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
     /// True iff the backing is the interval-compressed representation
-    /// (fabrics beyond the dense cap, or [`RoutingTable::from_debruijn`]).
+    /// (fabrics beyond the dense cap, or
+    /// [`RoutingTable::try_from_debruijn`]).
     pub fn is_compressed(&self) -> bool {
         matches!(self.backing, TableBacking::Compressed(_))
     }
@@ -628,7 +620,7 @@ impl Router for RoutingTable {
 /// This is what lets an OTIS `H(p, q, d)` fabric — whose node ids are
 /// transceiver-group coordinates — ride the de Bruijn rank-space
 /// machinery at full scale: the arithmetic routers and the
-/// arithmetic-compressed [`RoutingTable::from_debruijn`] both speak
+/// arithmetic-compressed [`RoutingTable::try_from_debruijn`] both speak
 /// de Bruijn ranks, and the witness is exactly the paper's
 /// isomorphism. Every query costs two array loads on top of the inner
 /// router.
@@ -1386,7 +1378,7 @@ mod tests {
         for (d, dim) in [(2u32, 5u32), (3, 3), (4, 2)] {
             let b = DeBruijn::new(d, dim);
             let dense = RoutingTable::from_family(&b);
-            let compressed = RoutingTable::from_debruijn(&b);
+            let compressed = RoutingTable::try_from_debruijn(&b).expect("under the cap");
             assert!(compressed.is_compressed());
             let arithmetic = DeBruijnRouter::new(b);
             let n = b.node_count();

@@ -776,6 +776,7 @@ const REPORT_AUDIT_EXEMPT: &[&str] = &[
     "multicast_groups",
     "replicated_copies",
     "multicast_forwarding_index",
+    "uninjected",
 ];
 
 /// Field types the audit considers countable — the integer tallies a

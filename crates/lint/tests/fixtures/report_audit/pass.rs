@@ -22,6 +22,7 @@ pub struct QueueingReport {
     pub multicast_groups: usize,
     pub replicated_copies: usize,
     pub multicast_forwarding_index: u64,
+    pub uninjected: usize,
     pub max_hops: u32,
 }
 

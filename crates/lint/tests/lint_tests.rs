@@ -441,7 +441,7 @@ fn report_audit_exemptions_must_name_real_fields() {
          }\n",
     )];
     let diags = lint_files(&files, &Allowlists::default());
-    assert_eq!(diags.len(), 13, "{diags:?}");
+    assert_eq!(diags.len(), 14, "{diags:?}");
     assert!(
         diags
             .iter()

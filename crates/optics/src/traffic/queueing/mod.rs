@@ -598,25 +598,17 @@ impl QueueingEngine {
     /// # Panics
     ///
     /// On a spec the fabric cannot satisfy; use
-    /// [`QueueingEngine::try_set_dynamics`] to keep the error.
+    /// [`QueueingEngine::try_set_dynamics_relabeled`] (with no
+    /// witness) to keep the error.
     pub fn set_dynamics(&mut self, spec: DynamicsSpec, stranded: StrandedPolicy) {
-        self.try_set_dynamics(spec, stranded)
+        self.try_set_dynamics_relabeled(spec, stranded, None)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// As [`QueueingEngine::set_dynamics`], returning the compile
     /// error (unknown link, out-of-range node, `rank:` addressing
-    /// without a witness) instead of panicking.
-    pub fn try_set_dynamics(
-        &mut self,
-        spec: DynamicsSpec,
-        stranded: StrandedPolicy,
-    ) -> Result<(), String> {
-        self.try_set_dynamics_relabeled(spec, stranded, None)
-    }
-
-    /// As [`QueueingEngine::try_set_dynamics`] for a *relabeled*
-    /// fabric: `node_rank` is the de Bruijn isomorphism witness
+    /// without a witness) instead of panicking. On a *relabeled*
+    /// fabric, `node_rank` is the de Bruijn isomorphism witness
     /// (`node_rank[fabric_node] = rank`) of the
     /// [`otis_core::RelabeledRouter`] driving the run, and lets the
     /// spec address links in rank space via the `rank:` prefix (see
@@ -632,11 +624,6 @@ impl QueueingEngine {
         self.dynamics = Some((spec, timeline));
         self.stranded = stranded;
         Ok(())
-    }
-
-    /// Remove a previously set dynamics timeline.
-    pub fn clear_dynamics(&mut self) {
-        self.dynamics = None;
     }
 
     pub(super) fn dynamics(&self) -> Option<&(DynamicsSpec, dynamics::Timeline)> {
@@ -776,10 +763,14 @@ impl QueueingEngine {
     /// counted per destination leaf. All leaf-unit counters of the
     /// report (`injected`, `delivered`, drops, `in_flight`) obey
     /// `injected_leaves = delivered + dropped + in_flight`.
-    /// Backpressure, dateline VC classes and the deterministic
-    /// sharded drain work unchanged: a branch blocks until every
-    /// non-relief child FIFO has room, promotes each child per its own
-    /// arc, and reports byte-identically at any `drain_threads`.
+    /// Groups are ordinary traffic to the cycle loop: each queues at
+    /// its root like a unicast pair at its source, and backpressure,
+    /// dateline VC classes and the deterministic sharded injection
+    /// and drain work unchanged — a root injects a group only when
+    /// every root-child FIFO has room (under backpressure), a branch
+    /// blocks until every non-relief child FIFO has room, each copy is
+    /// promoted per its own arc, and the report is byte-identical at
+    /// any `drain_threads`.
     pub fn run_multicast(
         &self,
         router: &dyn Router,

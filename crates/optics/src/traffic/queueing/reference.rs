@@ -500,6 +500,7 @@ impl ReferenceEngine {
             offered_per_cycle,
             cycles: cycle,
             injected,
+            uninjected: workload.len() - injected,
             delivered,
             dropped_full,
             dropped_unroutable,
@@ -841,6 +842,10 @@ impl ReferenceEngine {
             offered_per_cycle,
             cycles: cycle,
             injected,
+            uninjected: (0..trees.group_count())
+                .map(|group| trees.group_leaves(group) as usize)
+                .sum::<usize>()
+                - injected,
             delivered,
             dropped_full,
             dropped_unroutable,

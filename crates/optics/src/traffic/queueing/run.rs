@@ -4,29 +4,34 @@
 //! # Cycle anatomy
 //!
 //! 1. **Decode** (sequential): the offer clock admits this cycle's
-//!    slice of the workload. Pairs are pulled from the stream in index
-//!    order — regenerated chunk-by-chunk for a [`WorkloadSource`],
-//!    read in place for a slice — and appended to per-source pending
-//!    FIFOs in the entry slab. A source going nonempty is listed with
-//!    its owning inject worker.
+//!    slice of the workload. Items are pulled from the feed in index
+//!    order — unicast pairs regenerated chunk-by-chunk for a
+//!    [`WorkloadSource`] or read in place for a slice, multicast
+//!    groups as `(root, group id)` — and appended to per-source
+//!    pending FIFOs in the entry slab. A source going nonempty is
+//!    listed with its owning inject worker.
 //! 2. **Inject** (sharded by *source* ownership): each worker walks
-//!    its listed sources, admitting every pending head it can. A
-//!    source's injection touches only its own out-arc channels (the
-//!    first hop originates at the source, and the room check reads
-//!    only that channel's committed `len`, which only this source's
-//!    pushes change within the phase), so the decisions are
-//!    per-source independent and the shard layout is unobservable.
-//!    Packet ids come from per-worker pools refilled in batches from
-//!    the shared allocator — ids are never observable in a report, so
-//!    their interleaving doesn't matter. The one cross-shard touch is
-//!    the downstream node's ready count, which is why [`activate`]
-//!    uses `fetch_add`. Adaptive (non-stateless) routers read the
-//!    congestion scoreboard at injection, so *their* scan order is
-//!    observable: those runs list every source with worker 0 and the
-//!    main thread injects them alone, in listing order — sequential,
-//!    hence still independent of the thread count. Multicast roots
-//!    also inject sequentially (during the decode slot), preserving
-//!    the rotating-scan semantics the frozen reference engine pins.
+//!    its listed sources, admitting every pending head it can. One
+//!    loop serves both kinds of traffic: it checks parking, consumes
+//!    heads and parks or keeps the source listed, while an entry step
+//!    chosen once per run decides each head — `unicast_entry` routes
+//!    a packet's first hop, `group_entry` places a group's root copies
+//!    all-or-nothing (backpressure) or drops full subtrees
+//!    (tail-drop). A source's injection touches only its own out-arc
+//!    channels (a first hop or a root copy originates at the source,
+//!    and the room check reads only that channel's committed `len`,
+//!    which only this source's pushes change within the phase), so
+//!    the decisions are per-source independent and the shard layout
+//!    is unobservable. Packet ids come from per-worker pools refilled
+//!    in batches from the shared allocator — ids are never observable
+//!    in a report, so their interleaving doesn't matter. The one
+//!    cross-shard touch is the downstream node's ready count, which
+//!    is why [`activate`] uses `fetch_add`. Adaptive (non-stateless)
+//!    routers read the congestion scoreboard at injection, so *their*
+//!    scan order is observable: those runs list every source with
+//!    worker 0 and the main thread injects them alone, in rotating
+//!    listing order — sequential, hence still independent of the
+//!    thread count.
 //! 3. **Drain** (sharded by *downstream-node* ownership): every node
 //!    with any ready inbound channel drains its in-arcs — up to the
 //!    arc's capacity in packets per arc (`wavelengths`, less any
@@ -36,14 +41,16 @@
 //!    ready counts, while a head step chosen once per node decides
 //!    each head — `unicast_head` delivers, drops, or routes and moves
 //!    a packet; `tree_head` delivers a multicast copy's requests and
-//!    replicates it into its child tree arcs. Moves and replicas are
-//!    staged; pops are batched. Every buffer a node's drain writes
-//!    belongs to that node's *own* out-arcs, so ownership is disjoint
-//!    by construction — no locks, no CAS loops in the loop. Shard
-//!    boundaries are rounded to 64-node multiples so workers never
-//!    share a worklist bitset word, and contiguous node ranges keep
-//!    the de Bruijn arc structure (node `v` feeds `dv + c mod n`)
-//!    cache-local per worker.
+//!    replicates it into its child tree arcs. Moves and child copies
+//!    are staged alike, as `(channel, packet)` arrivals (a child copy
+//!    claims its id from the worker's pool as it is staged); pops are
+//!    batched. Every buffer a node's drain writes belongs to that
+//!    node's *own* out-arcs, so ownership is disjoint by construction
+//!    — no locks, no CAS loops in the loop. Shard boundaries are
+//!    rounded to 64-node multiples so workers never share a worklist
+//!    bitset word, and contiguous node ranges keep the de Bruijn arc
+//!    structure (node `v` feeds `dv + c mod n`) cache-local per
+//!    worker.
 //! 4. **Apply** (sequential): batched pop counts commit, parked
 //!    channels and sources wake, emptied nodes leave the worklist,
 //!    staged arrivals join their FIFOs (per-channel arrival order is
@@ -144,19 +151,22 @@ struct Watch {
 /// streamed — or multicast delivery trees with in-fabric replication.
 /// The multicast variant flips the meaning of the report's packet
 /// counters to **destination leaves** (`injected_leaves = delivered +
-/// dropped + in_flight`), while everything structural — buffers, VC
-/// classes, backpressure, the deterministic sharded phases — is
-/// shared. `Streamed` and `Unicast` are *the same run* fed two ways:
-/// the decode step is the only consumer of either, so the reports are
-/// byte-identical (pinned by the differential battery).
+/// dropped + in_flight`), while everything structural — decode into
+/// per-source FIFOs, sharded injection, buffers, VC classes,
+/// backpressure, staging — is shared: the two kinds differ only in
+/// their per-entry (injection) and per-head (drain) steps. `Streamed`
+/// and `Unicast` are *the same run* fed two ways: the decode step is
+/// the only consumer of either, so the reports are byte-identical
+/// (pinned by the differential battery).
 pub(super) enum Work<'a> {
     Unicast(&'a [(u64, u64)]),
     Streamed(&'a WorkloadSource),
     Multicast(&'a TreeSet),
 }
 
-/// Where decode reads pairs: a materialized slice, or a chunked
-/// stream regenerating one `WorkloadSource::CHUNK` at a time. Decode
+/// Where decode reads `(source, entry)` pairs: a materialized slice,
+/// a chunked stream regenerating one `WorkloadSource::CHUNK` at a
+/// time, or a multicast tree set yielding `(root, group id)`. Decode
 /// consumes indices in ascending order, so the streamed feed holds
 /// exactly one resident chunk and never regenerates one twice.
 enum PairFeed<'a> {
@@ -166,12 +176,22 @@ enum PairFeed<'a> {
         buf: Vec<(u64, u64)>,
         resident: usize,
     },
+    Groups(&'a TreeSet),
 }
 
 impl PairFeed<'_> {
+    fn len(&self) -> usize {
+        match self {
+            PairFeed::Slice(pairs) => pairs.len(),
+            PairFeed::Chunks { source, .. } => source.len(),
+            PairFeed::Groups(set) => set.group_count(),
+        }
+    }
+
     fn pair(&mut self, index: usize) -> (u64, u64) {
         match self {
             PairFeed::Slice(pairs) => pairs[index],
+            PairFeed::Groups(set) => (set.group_root(index), index as u64),
             PairFeed::Chunks {
                 source,
                 buf,
@@ -199,19 +219,6 @@ struct Decoder<'a> {
     newly_listed: Vec<Vec<u32>>,
 }
 
-/// A staged replication: one child copy to materialize at the apply
-/// step (multicast spawns claim ids from the sequential phases'
-/// allocator access, so drain workers stage spawns instead of
-/// claiming). Room was already checked and `staged_len` bumped by the
-/// staging worker.
-struct Spawn {
-    chan: u32,
-    tree_arc: u32,
-    offered: u64,
-    hops: u32,
-    vc: u8,
-}
-
 /// Everything a worker may touch: immutable context plus shared slabs
 /// whose writes are disjoint by ownership (injection state by the
 /// *source* node's inject owner, drain state by the *downstream*
@@ -229,9 +236,11 @@ struct SharedRun<'a> {
     wavelengths: usize,
     policy: ContentionPolicy,
     hop_limit: u32,
-    /// Router promised pure hops — enable the per-packet cache.
-    /// Multicast runs are always stateless: copies follow prebuilt
-    /// trees, never the live router.
+    /// Router promised pure hops — enable the per-packet cache, park
+    /// blocked channels and stalled sources, and shard injection by
+    /// source (see the module docs). Multicast runs are always
+    /// stateless: copies follow prebuilt trees, never the live router.
+    /// Adaptive routers inject sequentially, listing with worker 0.
     stateless: bool,
     /// The flattened delivery trees of a multicast run.
     trees: Option<&'a TreeSet>,
@@ -279,10 +288,6 @@ struct SharedRun<'a> {
     /// Inject-shard boundaries over sources, `threads + 1` entries;
     /// worker `w` owns sources `[shard_bounds[w], shard_bounds[w+1])`.
     shard_bounds: &'a [usize],
-    /// Sharded injection is on: unicast work under a stateless
-    /// router. Adaptive routers and multicast roots inject
-    /// sequentially (see the module docs), listing with worker 0.
-    parallel_inject: bool,
     /// Inbound channels of `v` that are *ready*: nonempty and not
     /// parked. The worklist counts these, not raw packets — a parked
     /// channel costs nothing until its blocker commits a pop.
@@ -336,7 +341,7 @@ struct SharedRun<'a> {
 impl SharedRun<'_> {
     /// The inject worker that owns `src`'s listing.
     fn list_owner(&self, src: usize) -> usize {
-        if !self.parallel_inject {
+        if !self.stateless {
             return 0;
         }
         self.shard_bounds.partition_point(|&bound| bound <= src) - 1
@@ -390,13 +395,9 @@ struct WorkerScratch {
     ids: Vec<u32>,
     /// Pending entries consumed this cycle, for recycling at apply.
     freed_entries: Vec<u32>,
-    /// Staged arrivals `(channel, packet)`, in drain order.
+    /// Staged arrivals `(channel, packet)` — unicast moves or
+    /// multicast child copies — in drain order.
     staged: Vec<(u32, u32)>,
-    /// Staged replications, in drain order. Per channel the apply
-    /// lands moves before spawns; both sequences are the channel's
-    /// source-node drain order, so arrival order stays independent of
-    /// the worker layout.
-    spawned: Vec<Spawn>,
     /// Batched pop counts `(channel, count)`.
     pops: Vec<(u32, u32)>,
     /// Departed packet ids (delivered or dropped), for recycling.
@@ -428,7 +429,6 @@ impl WorkerScratch {
             ids: Vec::new(),
             freed_entries: Vec::new(),
             staged: Vec::new(),
-            spawned: Vec::new(),
             pops: Vec::new(),
             freed: Vec::new(),
             emptied: Vec::new(),
@@ -449,11 +449,16 @@ impl WorkerScratch {
 #[derive(Default)]
 struct DrainStats {
     activity: usize,
-    /// Workload entries consumed at injection (admitted, delivered at
-    /// the source, or dropped there) — the unicast pending decrement.
+    /// Leaf units of the workload entries consumed at injection
+    /// (admitted, delivered at the source, or dropped there). A
+    /// unicast entry is one packet, one leaf; a multicast group
+    /// injects all its requested leaves at once.
     injected: usize,
-    /// Packets that physically entered the network this cycle.
+    /// Leaf units that physically entered the network this cycle.
     entered: usize,
+    /// Arena copies that entered the network (one per packet or root
+    /// copy).
+    entered_copies: usize,
     delivered: usize,
     /// Leaf units that left the network (delivered + dropped). For
     /// unicast one packet is one leaf; for multicast a dropped copy
@@ -478,18 +483,13 @@ struct DrainStats {
 
 /// Main-thread run accumulators.
 struct MainState {
-    /// Multicast only: per-root group queues and the rotating-scan
-    /// id list. Unicast sources live in the shared entry slab.
-    sources: Vec<VecDeque<usize>>,
-    source_ids: Vec<usize>,
+    /// Workload entries (pairs or groups) not yet consumed.
     pending: usize,
     /// Leaf units buffered in the fabric (unicast: packets).
     in_network: usize,
     /// Live arena copies (multicast replication makes this differ
     /// from `in_network`; unicast keeps them equal).
     in_copies: usize,
-    /// Multicast groups that completed injection.
-    groups_injected: usize,
     /// Child copies spawned at tree branches.
     replicated: u64,
     injected: usize,
@@ -613,7 +613,8 @@ pub(super) fn execute(
         count.store(0, Relaxed);
     }
 
-    // Injection items (pairs or groups) and the arena bound: a unicast
+    // Workload entries (pairs or groups), the workload in report units
+    // (packets, or destination leaves), and the arena bound: a unicast
     // run never holds more copies than packets; a multicast run never
     // holds more copies than tree arcs (each arc is crossed once).
     let (feed, trees) = match work {
@@ -628,13 +629,16 @@ pub(super) fn execute(
         ),
         Work::Multicast(set) => {
             assert!(hot_dst.is_none(), "multicast runs are unclassified");
-            (PairFeed::Slice(&[]), Some(set))
+            (PairFeed::Groups(set), Some(set))
         }
     };
-    let (items, copy_bound) = match (&feed, trees) {
-        (_, Some(set)) => (set.group_count(), set.arc_count()),
-        (PairFeed::Slice(pairs), None) => (pairs.len(), pairs.len()),
-        (PairFeed::Chunks { source, .. }, None) => (source.len(), source.len()),
+    let items = feed.len();
+    let (units, copy_bound) = match trees {
+        Some(set) => (
+            (0..items).map(|g| set.group_leaves(g) as usize).sum(),
+            set.arc_count(),
+        ),
+        None => (items, items),
     };
     // Headroom for ids parked in worker pools: live packets never
     // exceed `copy_bound`, but up to `threads · ID_BATCH` claimed ids
@@ -643,7 +647,7 @@ pub(super) fn execute(
 
     let arena = PacketArena::with_capacity(capacity);
     let allocator = Mutex::new(ArenaAllocator::new(capacity));
-    let entries = EntryArena::with_capacity(if trees.is_some() { 0 } else { items });
+    let entries = EntryArena::with_capacity(items);
     let queues = ChannelQueues::new(channels);
     let node_ready: Vec<AtomicU32> = (0..n as usize).map(|_| AtomicU32::new(0)).collect();
     let active = DenseBitset::new(n as usize);
@@ -737,7 +741,6 @@ pub(super) fn execute(
         source_waiter_link: &source_waiter_link,
         peak: &peak,
         shard_bounds: &bounds,
-        parallel_inject: trees.is_none() && stateless,
         node_ready: &node_ready,
         active: &active,
         parked: &parked,
@@ -754,32 +757,10 @@ pub(super) fn execute(
         done: AtomicBool::new(false),
     };
 
-    // Multicast group queues, root order within each root. Unicast
-    // work needs no up-front distribution: the decode step streams
-    // pairs into the entry slab as their offer cycles arrive.
-    let mut sources: Vec<VecDeque<usize>> = Vec::new();
-    if let Some(set) = trees {
-        sources = vec![VecDeque::new(); n as usize];
-        for group in 0..set.group_count() {
-            let root = set.group_root(group);
-            assert!(
-                root < n,
-                "group root {root} is not a fabric node (fabric has {n})"
-            );
-            sources[root as usize].push_back(group);
-        }
-    }
-    let source_ids: Vec<usize> = (0..sources.len())
-        .filter(|&src| !sources[src].is_empty())
-        .collect();
-
     let mut main = MainState {
-        sources,
-        source_ids,
         pending: items,
         in_network: 0,
         in_copies: 0,
-        groups_injected: 0,
         replicated: 0,
         injected: 0,
         delivered: 0,
@@ -817,9 +798,9 @@ pub(super) fn execute(
 
     let mut dec = Decoder {
         feed,
-        total: if trees.is_some() { 0 } else { items },
+        total: items,
         next: 0,
-        entry_ids: ArenaAllocator::new(if trees.is_some() { 0 } else { items }),
+        entry_ids: ArenaAllocator::new(items),
         newly_listed: vec![Vec::new(); threads],
     };
 
@@ -878,16 +859,8 @@ pub(super) fn execute(
                 barrier.wait();
                 break;
             }
-            let mut activity = match shared.trees {
-                Some(set) => {
-                    let mut allocator = shared.allocator.lock().expect("arena allocator");
-                    inject_multicast(&shared, &mut main, &mut allocator, set, offered_per_cycle)
-                }
-                None => {
-                    decode(&shared, &main, &mut dec, &scratches, offered_per_cycle);
-                    0
-                }
-            };
+            decode(&shared, &main, &mut dec, &scratches, offered_per_cycle);
+            let mut activity = 0;
             // Link dynamics fire on the sequential slot: capacity
             // stores, stranding, repair, and wakes all happen while
             // the workers idle at the barrier, so every gate the
@@ -938,14 +911,8 @@ pub(super) fn execute(
 
     // Arena conservation: every slot handed out is either recycled
     // (delivered/dropped), pooled by a worker, or still queued (in
-    // flight). Return the pools, then audit. Multicast copies are
-    // audited in copy units — their leaf-unit total is the report's
-    // `in_flight`.
-    let live_copies = if shared.trees.is_some() {
-        main.in_copies
-    } else {
-        main.in_network
-    };
+    // flight). Return the pools, then audit in copy units (a multicast
+    // run's leaf-unit total is the report's `in_flight`).
     {
         let mut allocator = shared.allocator.lock().expect("arena allocator");
         for cell in &scratches {
@@ -954,23 +921,22 @@ pub(super) fn execute(
         }
         assert_eq!(
             allocator.live(),
-            live_copies,
-            "arena leak: {} live slots vs {live_copies} in-flight copies",
+            main.in_copies,
+            "arena leak: {} live slots vs {} in-flight copies",
             allocator.live(),
+            main.in_copies,
         );
     }
     // Entry conservation: decoded minus consumed must equal the live
-    // pending backlog (consumes and `injected` move in lockstep).
-    if shared.trees.is_none() {
-        assert_eq!(
-            dec.entry_ids.live(),
-            dec.next - main.injected,
-            "entry leak: {} live entries vs {} decoded − {} consumed",
-            dec.entry_ids.live(),
-            dec.next,
-            main.injected,
-        );
-    }
+    // pending backlog.
+    let consumed = items - main.pending;
+    assert_eq!(
+        dec.entry_ids.live(),
+        dec.next - consumed,
+        "entry leak: {} live entries vs {} decoded − {consumed} consumed",
+        dec.entry_ids.live(),
+        dec.next,
+    );
 
     // Sources still parked at the end: the scan would have re-stalled
     // them in every executed cycle after they parked — settle the
@@ -994,15 +960,16 @@ pub(super) fn execute(
         router,
         offered_per_cycle,
         hot_dst,
-        trees,
+        units,
+        trees.map(|set| (set, consumed)),
     )
 }
 
-/// The decode step of a unicast run: pull every pair whose offer
-/// cycle has arrived, append it to its source's pending FIFO, and
-/// stage newly nonempty sources for listing with their inject owner
-/// (one scratch lock per worker per cycle, while the workers idle at
-/// the cycle barrier).
+/// The decode step: pull every entry (a unicast pair, or a multicast
+/// group at its root) whose offer cycle has arrived, append it to its
+/// source's pending FIFO, and stage newly nonempty sources for listing
+/// with their inject owner (one scratch lock per worker per cycle,
+/// while the workers idle at the cycle barrier).
 fn decode(
     shared: &SharedRun,
     main: &MainState,
@@ -1025,6 +992,7 @@ fn decode(
     let cycle = main.cycle;
     let n = shared.g.node_count() as u64;
     while dec.next < dec.total && offer_cycle(dec.next) <= cycle {
+        // `dst` is a destination node, or a multicast group id.
         let (src, dst) = dec.feed.pair(dec.next);
         assert!(
             src < n,
@@ -1057,113 +1025,14 @@ fn decode(
     }
 }
 
-/// The injection phase of a multicast run (sequential, in the decode
-/// slot): rotate over roots with pending groups, injecting one copy
-/// per root-child tree arc. A group injects all-or-nothing under
-/// backpressure (any full root-child FIFO stalls the root, which
-/// parks on it); under tail-drop the full children drop with their
-/// whole subtree weight and the rest inject. Root self-requests
-/// deliver at the source and unroutable leaves drop here, so a
-/// processed group always accounts for every one of its leaves.
-fn inject_multicast(
-    shared: &SharedRun,
-    main: &mut MainState,
-    allocator: &mut ArenaAllocator,
-    trees: &TreeSet,
-    offered_per_cycle: f64,
-) -> usize {
-    let offer_cycle =
-        |i: usize| (((i + 1) as f64 / offered_per_cycle).ceil() as u64).saturating_sub(1);
-    // ORDERING: Relaxed — multicast injection is sequential (main
-    // thread, workers parked at the barrier), so the queue-length
-    // probes, parking flags, and waiter-list threading here are
-    // data-race-free by construction; the phase barrier publishes
-    // them to the drain workers.
-    let cycle = main.cycle;
-    let mut activity = 0usize;
-    let scan_count = if main.pending == 0 {
-        0
-    } else {
-        main.source_ids.len()
-    };
-    let source_start = if main.source_ids.is_empty() {
-        0
-    } else {
-        cycle as usize % main.source_ids.len()
-    };
-    for scan in 0..scan_count {
-        let src = main.source_ids[(source_start + scan) % main.source_ids.len()];
-        if shared.source_parked_at[src].load(Relaxed) != u64::MAX {
-            continue; // woken by the blocking channel's next pop
-        }
-        'groups: while let Some(&group) = main.sources[src].front() {
-            if offer_cycle(group) > cycle {
-                break;
-            }
-            let roots = trees.group_root_arcs(group);
-            if shared.policy == ContentionPolicy::Backpressure {
-                // All-or-nothing: probe every root child before
-                // committing anything.
-                for &t in roots {
-                    let arc = trees.fabric_arc(t);
-                    let vc0 = shared.dateline.next_class_arc(0, arc);
-                    let chan = arc * shared.vcs + vc0 as usize;
-                    if shared.queues.len[chan].load(Relaxed) >= shared.buffers {
-                        main.source_stall_cycles += 1;
-                        park_source(shared, src, chan, cycle);
-                        break 'groups;
-                    }
-                }
-            }
-            main.sources[src].pop_front();
-            main.pending -= 1;
-            main.groups_injected += 1;
-            main.injected += trees.group_leaves(group) as usize;
-            let self_requests = trees.group_self_requests(group) as usize;
-            if self_requests > 0 {
-                // Delivered without entering the network.
-                main.delivered += self_requests;
-                let wait = cycle - offer_cycle(group);
-                main.waits.record_n(wait, self_requests as u64);
-            }
-            main.dropped_unroutable += trees.group_unroutable(group) as usize;
-            for &t in roots {
-                let arc = trees.fabric_arc(t);
-                let vc0 = shared.dateline.next_class_arc(0, arc);
-                let chan = arc * shared.vcs + vc0 as usize;
-                if shared.queues.len[chan].load(Relaxed) < shared.buffers {
-                    if vc0 > 0 {
-                        main.dateline_promotions += 1;
-                    }
-                    let id = allocator.claim();
-                    shared.arena.init(id, t, offer_cycle(group), vc0);
-                    push_packet(shared, chan, id, cycle);
-                    main.in_network += trees.weight(t) as usize;
-                    main.in_copies += 1;
-                } else {
-                    // Only reachable under tail-drop — backpressure
-                    // probed every child above.
-                    debug_assert_eq!(shared.policy, ContentionPolicy::TailDrop);
-                    main.dropped_full += trees.weight(t) as usize;
-                }
-            }
-            activity += 1;
-        }
-    }
-    activity
-}
-
 /// The injection phase over one worker's listed sources: admit every
 /// pending head each source can place, compacting the list as sources
-/// drain empty or park. Listing invariant: a source is on exactly one
-/// list iff its `src_listed` flag is set; delisting clears the flag,
-/// and decode / the apply-step wake relist under it.
+/// drain empty or park. The entry step is chosen by the run's kind,
+/// so unicast and multicast each get their own monomorphized copy of
+/// the one injection loop. Listing invariant: a source is on exactly
+/// one list iff its `src_listed` flag is set; delisting clears the
+/// flag, and decode / the apply-step wake relist under it.
 fn inject_list(shared: &SharedRun, ws: &mut WorkerScratch, cycle: u64) {
-    // ORDERING: Relaxed — each source is listed with exactly one
-    // worker (list_owner shards by source node), so its `src_listed`
-    // flag and everything `inject_source` touches on its behalf are
-    // single-writer during the inject phase.
-    //
     // Refresh before the empty-list return: the drain phase that
     // follows routes by the same cached snapshot, whether or not this
     // worker has sources to inject.
@@ -1172,7 +1041,7 @@ fn inject_list(shared: &SharedRun, ws: &mut WorkerScratch, cycle: u64) {
         return;
     }
     let mut list = std::mem::take(&mut ws.sources);
-    if !shared.parallel_inject {
+    if !shared.stateless {
         // Sequential (adaptive-router) injection: stalled sources
         // stay listed and retry every cycle, so rotate the scan start
         // or the first-listed would persistently win the buffer room
@@ -1182,17 +1051,18 @@ fn inject_list(shared: &SharedRun, ws: &mut WorkerScratch, cycle: u64) {
         let rotation = cycle as usize % list.len();
         list.rotate_left(rotation);
     }
-    let mut kept = 0;
-    for i in 0..list.len() {
-        let src = list[i];
-        if inject_source(shared, ws, src as usize, cycle) {
-            list[kept] = src;
-            kept += 1;
-        } else {
-            shared.src_listed[src as usize].store(0, Relaxed);
-        }
+    match shared.trees {
+        Some(trees) => list.retain(|&src| {
+            inject_source(shared, ws, src as usize, cycle, |ws, entry| {
+                group_entry(shared, trees, ws, src as usize, entry, cycle)
+            })
+        }),
+        None => list.retain(|&src| {
+            inject_source(shared, ws, src as usize, cycle, |ws, entry| {
+                unicast_entry(shared, ws, src as usize, entry, cycle)
+            })
+        }),
     }
-    list.truncate(kept);
     ws.sources = list;
 }
 
@@ -1218,52 +1088,92 @@ fn refresh_snapshot(shared: &SharedRun, ws: &mut WorkerScratch) {
 }
 
 /// Inject one source's eligible pending heads (every decoded entry is
-/// already offered). Returns whether the source stays listed: `false`
+/// already offered): the one injection loop. `step(ws, entry)` decides
+/// each head; this loop consumes, counts, and parks. Returns whether
+/// the source stays listed — `false` (with its listed flag cleared)
 /// when its queue drained or it parked (both wakes are event-driven),
-/// `true` when an adaptive-router stall leaves it retrying next
-/// cycle.
-fn inject_source(shared: &SharedRun, ws: &mut WorkerScratch, src: usize, cycle: u64) -> bool {
+/// `true` when an adaptive-router stall leaves it retrying next cycle.
+fn inject_source<S>(
+    shared: &SharedRun,
+    ws: &mut WorkerScratch,
+    src: usize,
+    cycle: u64,
+    mut step: S,
+) -> bool
+where
+    S: FnMut(&mut WorkerScratch, u32) -> Head,
+{
     // ORDERING: Relaxed — everything here is owned by this worker for
-    // the phase: the source's pending FIFO and injection cache are
-    // sharded by source node; the queue-length probe reads occupancy
-    // that only moves at phase boundaries (drain pops commit in
-    // apply); the channels pushed are this source's own out-arcs; and
-    // a source parks only on its own out-arc channel, so the waiter
-    // list has one writer. The inject/drain barrier publishes all of
-    // it.
-    if shared.source_parked_at[src].load(Relaxed) != u64::MAX {
-        // Still blocked on a full first-hop FIFO; its wake-up is
-        // event-driven (the blocker's next committed pop).
-        return false;
-    }
-    loop {
-        let entry = shared.src_head[src].load(Relaxed);
-        if entry == NONE {
-            return false;
-        }
-        let dst = shared.entries.dst(entry).load(Relaxed);
-        let offered = shared.entries.offered(entry).load(Relaxed);
-        let class = usize::from(shared.hot_dst == Some(dst));
-        if src as u64 == dst {
-            // Delivered without entering the network (any
-            // source-stall time still counts as waiting).
-            consume_entry(shared, ws, src, entry);
-            ws.stats.injected += 1;
-            ws.stats.delivered += 1;
-            ws.stats.class_injected[class] += 1;
-            ws.stats.class_delivered[class] += 1;
-            let wait = cycle - offered;
-            ws.waits.push(wait);
-            if shared.classified {
-                ws.class_waits[class].push(wait);
+    // the phase: the source's pending FIFO, listed flag and injection
+    // cache are sharded by source node, and a source parks only on its
+    // own out-arc channel, so the waiter list has one writer; see the
+    // note in `unicast_entry` for the channels the steps touch. The
+    // inject/drain barrier publishes all of it.
+    //
+    // A parked source is still blocked on a full first-hop FIFO; its
+    // wake-up is event-driven (the blocker's next committed pop).
+    let stays = shared.source_parked_at[src].load(Relaxed) == u64::MAX
+        && loop {
+            let entry = shared.src_head[src].load(Relaxed);
+            if entry == NONE {
+                break false;
             }
-            ws.stats.activity += 1;
-            continue;
+            match step(ws, entry) {
+                Head::Taken => {
+                    consume_entry(shared, ws, src, entry);
+                    ws.stats.activity += 1;
+                }
+                Head::Blocked(blocker) => {
+                    // This source stalls; the others go on. A fixed
+                    // blocker parks it.
+                    ws.stats.source_stalls += 1;
+                    if let Some(chan) = blocker {
+                        park_source(shared, src, chan, cycle);
+                    }
+                    break blocker.is_none();
+                }
+            }
+        };
+    if !stays {
+        shared.src_listed[src].store(0, Relaxed);
+    }
+    stays
+}
+
+/// The unicast entry step at source `src`: deliver a self-pair, drop
+/// an off-fabric or unroutable destination, route the first hop
+/// (through the injection cache, requerying a dead target), then push
+/// the packet, tail-drop it, or stall on its full first-hop channel.
+#[inline(always)]
+fn unicast_entry(
+    shared: &SharedRun,
+    ws: &mut WorkerScratch,
+    src: usize,
+    entry: u32,
+    cycle: u64,
+) -> Head {
+    // ORDERING: Relaxed — the entry and the source's injection cache
+    // are the source's inject owner's; the queue-length probe reads
+    // occupancy that only moves at phase boundaries (drain pops commit
+    // in apply); the channels pushed are this source's own out-arcs.
+    let dst = shared.entries.dst(entry).load(Relaxed);
+    let offered = shared.entries.offered(entry).load(Relaxed);
+    let class = usize::from(shared.hot_dst == Some(dst));
+    if src as u64 == dst {
+        // Delivered without entering the network (any source-stall
+        // time still counts as waiting).
+        ws.stats.delivered += 1;
+        ws.stats.class_delivered[class] += 1;
+        let wait = cycle - offered;
+        ws.waits.push(wait);
+        if shared.classified {
+            ws.class_waits[class].push(wait);
         }
-        // An off-fabric destination is unroutable by definition
-        // — dropped here, before any router can be asked about a
-        // node that does not exist (dense tables index out of
-        // bounds, compressed ones would have to invent answers).
+    } else {
+        // An off-fabric destination is unroutable by definition —
+        // dropped here, before any router can be asked about a node
+        // that does not exist (dense tables index out of bounds,
+        // compressed ones would have to invent answers).
         let arc = if dst >= shared.g.node_count() as u64 {
             None
         } else if shared.stateless && shared.inject_cached_entry[src].load(Relaxed) == entry {
@@ -1299,58 +1209,120 @@ fn inject_source(shared: &SharedRun, ws: &mut WorkerScratch, src: usize, cycle: 
             }
             other => other,
         };
-        let Some(arc) = arc else {
+        match arc {
             // No route (or the router proposed a non-neighbor).
-            consume_entry(shared, ws, src, entry);
-            ws.stats.injected += 1;
-            ws.stats.dropped_unroutable += 1;
-            ws.stats.class_injected[class] += 1;
-            ws.stats.class_dropped[class] += 1;
-            ws.stats.activity += 1;
-            continue;
-        };
-        // A packet starts at class 0 and, like any other hop, is
-        // promoted if its very first arc crosses the dateline — so
-        // the class it joins is exactly the one a dateline-aware
-        // adaptive scorer charged for this hop.
-        let vc0 = shared.dateline.next_class_arc(0, arc);
-        let chan = arc * shared.vcs + vc0 as usize;
-        if shared.queues.len[chan].load(Relaxed) < shared.buffers {
-            consume_entry(shared, ws, src, entry);
-            if vc0 > 0 {
-                ws.stats.promotions += 1;
+            None => {
+                ws.stats.dropped_unroutable += 1;
+                ws.stats.class_dropped[class] += 1;
             }
-            let id = claim_id(shared, ws);
-            shared.arena.init(id, dst as u32, offered, vc0);
-            push_packet(shared, chan, id, cycle);
-            ws.stats.injected += 1;
-            ws.stats.entered += 1;
-            ws.stats.class_injected[class] += 1;
-            ws.stats.activity += 1;
-        } else {
-            match shared.policy {
-                ContentionPolicy::TailDrop => {
-                    consume_entry(shared, ws, src, entry);
-                    ws.stats.injected += 1;
-                    ws.stats.dropped_full += 1;
-                    ws.stats.class_injected[class] += 1;
-                    ws.stats.class_dropped[class] += 1;
-                    ws.stats.activity += 1;
-                }
-                ContentionPolicy::Backpressure => {
-                    // This source stalls; the others go on. With a
-                    // stateless router the blocking channel is
-                    // fixed, so the source parks on it.
-                    ws.stats.source_stalls += 1;
-                    if shared.stateless {
-                        park_source(shared, src, chan, cycle);
-                        return false;
+            Some(arc) => {
+                // A packet starts at class 0 and, like any other hop,
+                // is promoted if its very first arc crosses the
+                // dateline — so the class it joins is exactly the one
+                // a dateline-aware adaptive scorer charged for this
+                // hop.
+                let vc0 = shared.dateline.next_class_arc(0, arc);
+                let chan = arc * shared.vcs + vc0 as usize;
+                if shared.queues.len[chan].load(Relaxed) < shared.buffers {
+                    if vc0 > 0 {
+                        ws.stats.promotions += 1;
                     }
-                    return true;
+                    let id = claim_id(shared, ws);
+                    shared.arena.init(id, dst as u32, offered, vc0);
+                    push_packet(shared, chan, id, cycle);
+                    ws.stats.entered += 1;
+                    ws.stats.entered_copies += 1;
+                } else if shared.policy == ContentionPolicy::TailDrop {
+                    ws.stats.dropped_full += 1;
+                    ws.stats.class_dropped[class] += 1;
+                } else {
+                    // Backpressure: with a stateless router the
+                    // blocking channel is fixed, so the source parks
+                    // on it.
+                    return Head::Blocked(shared.stateless.then_some(chan));
                 }
             }
         }
     }
+    ws.stats.injected += 1;
+    ws.stats.class_injected[class] += 1;
+    Head::Taken
+}
+
+/// The multicast entry step at root `src`: place a group's root
+/// copies, one per root-child tree arc. A group injects all-or-nothing
+/// under backpressure (any full root-child FIFO stalls the root, which
+/// parks on it); under tail-drop the full children drop with their
+/// whole subtree weight and the rest inject. Root self-requests
+/// deliver at the source and unroutable leaves drop here, so a
+/// consumed group always accounts for every one of its leaves.
+#[inline(always)]
+fn group_entry(
+    shared: &SharedRun,
+    trees: &TreeSet,
+    ws: &mut WorkerScratch,
+    src: usize,
+    entry: u32,
+    cycle: u64,
+) -> Head {
+    // ORDERING: Relaxed — same ownership discipline as
+    // `unicast_entry`: a root copy rides one of the root's own
+    // out-arcs.
+    let group = shared.entries.dst(entry).load(Relaxed) as usize;
+    let offered = shared.entries.offered(entry).load(Relaxed);
+    debug_assert_eq!(
+        trees.group_root(group),
+        src as u64,
+        "group queued off its root"
+    );
+    let roots = trees.group_root_arcs(group);
+    let root_channel = |t: u32| {
+        let arc = trees.fabric_arc(t);
+        let vc0 = shared.dateline.next_class_arc(0, arc);
+        (arc * shared.vcs + vc0 as usize, vc0)
+    };
+    let full = |chan: usize| shared.queues.len[chan].load(Relaxed) >= shared.buffers;
+    if shared.policy == ContentionPolicy::Backpressure {
+        // All-or-nothing: probe every root child before committing
+        // anything.
+        let blocker = roots
+            .iter()
+            .map(|&t| root_channel(t).0)
+            .find(|&chan| full(chan));
+        if blocker.is_some() {
+            return Head::Blocked(blocker);
+        }
+    }
+    ws.stats.injected += trees.group_leaves(group) as usize;
+    let self_requests = trees.group_self_requests(group) as usize;
+    if self_requests > 0 {
+        // Delivered without entering the network.
+        ws.stats.delivered += self_requests;
+        let wait = cycle - offered;
+        for _ in 0..self_requests {
+            ws.waits.push(wait);
+        }
+    }
+    ws.stats.dropped_unroutable += trees.group_unroutable(group) as usize;
+    for &t in roots {
+        let (chan, vc0) = root_channel(t);
+        if full(chan) {
+            // Only reachable under tail-drop — backpressure probed
+            // every child above.
+            debug_assert_eq!(shared.policy, ContentionPolicy::TailDrop);
+            ws.stats.dropped_full += trees.weight(t) as usize;
+            continue;
+        }
+        if vc0 > 0 {
+            ws.stats.promotions += 1;
+        }
+        let id = claim_id(shared, ws);
+        shared.arena.init(id, t, offered, vc0);
+        push_packet(shared, chan, id, cycle);
+        ws.stats.entered += trees.weight(t) as usize;
+        ws.stats.entered_copies += 1;
+    }
+    Head::Taken
 }
 
 /// Park a stalled source on its full first-hop channel `chan` until
@@ -1359,8 +1331,7 @@ fn inject_source(shared: &SharedRun, ws: &mut WorkerScratch, src: usize, cycle: 
 /// itself can park on its own out-arc channel, so the waiter list has
 /// one writer.
 fn park_source(shared: &SharedRun, src: usize, chan: usize, cycle: u64) {
-    // ORDERING: Relaxed — the parking source's injector (a sharded
-    // inject worker, or the main thread for multicast roots) is the
+    // ORDERING: Relaxed — the parking source's inject owner is the
     // only writer of these words during the phase; the barrier
     // publishes them to the apply step that wakes the source.
     shared.source_parked_at[src].store(cycle, Relaxed);
@@ -1516,16 +1487,17 @@ fn drain_range(
     });
 }
 
-/// What a head step did with the head of one VC FIFO.
+/// What a step did with the head of a FIFO: a VC channel's packet
+/// FIFO in the drain, a source's pending-entry FIFO at injection.
 enum Head {
-    /// The head left its FIFO — moved, replicated, delivered, dropped
-    /// or stranded — and the step did its own accounting.
+    /// The head left its FIFO — moved, replicated, delivered, dropped,
+    /// stranded or injected — and the step did its own accounting.
     Taken,
-    /// The head stays and blocks its class for the rest of the arc's
-    /// drain. `Some(chan)` names a fixed blocker: under boundary
-    /// credits only `chan`'s committed pop can make room, so the
-    /// channel parks on `chan`'s waiter list instead of being
-    /// re-checked every cycle.
+    /// The head stays and blocks its FIFO (its class for the rest of
+    /// the arc's drain, or its source for the cycle). `Some(chan)`
+    /// names a fixed blocker: under boundary credits only `chan`'s
+    /// committed pop can make room, so the channel or source parks on
+    /// `chan`'s waiter list instead of being re-checked every cycle.
     Blocked(Option<usize>),
 }
 
@@ -1827,7 +1799,9 @@ fn tree_head(
     // ORDERING: Relaxed — same ownership discipline as `unicast_head`:
     // the copy and this arc's delivery counter are the draining
     // worker's, and staged child copies bump channels whose source
-    // node is this node.
+    // node is this node. A child's slot comes from this worker's id
+    // pool, so its init stores are this worker's alone until the apply
+    // step, past the drain→apply barrier, pushes it.
     let t = shared.arena.dst(head).load(Relaxed);
     let hops_after = shared.arena.hops(head).load(Relaxed) + 1;
     debug_assert_eq!(trees.fabric_arc(t), arc, "copy rode the wrong link");
@@ -1900,14 +1874,11 @@ fn tree_head(
         if child_vc > packet_vc {
             ws.stats.promotions += 1;
         }
+        let id = claim_id(shared, ws);
+        shared.arena.init(id, child, offered, child_vc);
+        shared.arena.hops(id).store(hops_after, Relaxed);
         shared.queues.staged_len[child_chan].store(staged + 1, Relaxed);
-        ws.spawned.push(Spawn {
-            chan: child_chan as u32,
-            tree_arc: child,
-            offered,
-            hops: hops_after,
-            vc: child_vc,
-        });
+        ws.staged.push((child_chan as u32, id));
         ws.stats.spawned_copies += 1;
     }
     ws.freed.push(head);
@@ -2157,9 +2128,8 @@ fn unpark_source(shared: &SharedRun, main: &mut MainState, src: usize) -> u32 {
     next
 }
 
-/// Woken unicast sources rejoin their owner's inject list (the
-/// multicast scan needs no list; its sources have no entry queue, so
-/// the head check skips them).
+/// Woken sources with pending entries rejoin their owner's inject
+/// list.
 fn relist_woken(shared: &SharedRun, main: &mut MainState, scratches: &[Mutex<WorkerScratch>]) {
     // ORDERING: Relaxed — sequential slot; the next phase barrier
     // publishes the listed flags with the lists.
@@ -2266,6 +2236,7 @@ fn apply(
     // underflow `in_network`/`in_copies` when the departing cell
     // merges first.
     let mut entered = 0usize;
+    let mut entered_copies = 0usize;
     let mut departed = 0usize;
     let mut spawned_copies = 0usize;
     let mut departed_copies = 0usize;
@@ -2308,9 +2279,10 @@ fn apply(
         let stats = std::mem::take(&mut ws.stats);
         activity += stats.activity;
         main.injected += stats.injected;
-        main.pending -= stats.injected;
+        main.pending -= ws.freed_entries.len();
         main.delivered += stats.delivered;
         entered += stats.entered;
+        entered_copies += stats.entered_copies;
         departed += stats.departed;
         spawned_copies += stats.spawned_copies;
         departed_copies += stats.departed_copies;
@@ -2343,7 +2315,7 @@ fn apply(
     }
     main.in_network += entered;
     main.in_network -= departed;
-    main.in_copies += entered + spawned_copies;
+    main.in_copies += entered_copies + spawned_copies;
     main.in_copies -= departed_copies;
     // Dead-target strands from the drain resolve here. Cross-worker
     // order is normalized by channel id: each channel has exactly one
@@ -2369,24 +2341,14 @@ fn apply(
             push_packet(shared, chan as usize, id, main.cycle);
         }
         ws.staged.clear();
-        // Replications land after moves: per channel both sequences
-        // are the source node's drain order, so the arrival order is a
-        // pure function of the cycle state, not the worker layout.
-        for spawn in ws.spawned.drain(..) {
-            shared.queues.staged_len[spawn.chan as usize].store(0, Relaxed);
-            let id = allocator.claim();
-            shared
-                .arena
-                .init(id, spawn.tree_arc, spawn.offered, spawn.vc);
-            shared.arena.hops(id).store(spawn.hops, Relaxed);
-            push_packet(shared, spawn.chan as usize, id, main.cycle);
-        }
     }
     relist_woken(shared, main, scratches);
     activity
 }
 
-/// Fold the accumulators into the report.
+/// Fold the accumulators into the report. `units` is the workload
+/// size in report units; `multicast` carries a multicast run's trees
+/// and the groups it consumed.
 #[allow(clippy::too_many_arguments)]
 fn finish(
     main: &mut MainState,
@@ -2398,7 +2360,8 @@ fn finish(
     router: &dyn Router,
     offered_per_cycle: f64,
     hot_dst: Option<u64>,
-    trees: Option<&TreeSet>,
+    units: usize,
+    multicast: Option<(&TreeSet, usize)>,
 ) -> QueueingReport {
     // ORDERING: Relaxed — the worker scope has joined; these are
     // post-run folds on this thread, with visibility from the join.
@@ -2471,6 +2434,7 @@ fn finish(
         offered_per_cycle,
         cycles: main.cycle,
         injected: main.injected,
+        uninjected: units - main.injected,
         delivered: main.delivered,
         dropped_full: main.dropped_full,
         dropped_unroutable: main.dropped_unroutable,
@@ -2494,9 +2458,9 @@ fn finish(
             .iter()
             .map(|count| count.load(Relaxed))
             .collect(),
-        multicast_groups: main.groups_injected,
+        multicast_groups: multicast.map_or(0, |(_, groups)| groups),
         replicated_copies: main.replicated,
-        multicast_forwarding_index: trees.map_or(0, TreeSet::forwarding_index),
+        multicast_forwarding_index: multicast.map_or(0, |(set, _)| set.forwarding_index()),
         class_stats,
         link_down_events: main.link_down_events,
         link_up_events: main.link_up_events,
@@ -2511,5 +2475,37 @@ fn finish(
         table_runs_total,
         snapshot_publications: main.snapshot_publications,
         snapshot_runs_published: main.snapshot_runs_published,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::shard_bounds;
+
+    #[test]
+    fn shards_split_real_work_from_128_nodes() {
+        // Below 128 nodes the 64-node rounding hands worker 0 the whole
+        // fabric; the thread-invariance batteries on B(2,7)–B(2,8) rely
+        // on worker 1 owning a real shard there.
+        for n in [128usize, 256] {
+            assert_eq!(
+                shard_bounds(n, 2),
+                [0, n / 2, n],
+                "worker 1 owns half of {n} nodes"
+            );
+            let owners = shard_bounds(n, 8)
+                .windows(2)
+                .filter(|w| w[1] > w[0])
+                .count();
+            assert!(
+                owners >= 2,
+                "8 threads split {n} nodes over {owners} worker(s)"
+            );
+        }
+        assert_eq!(
+            shard_bounds(32, 2),
+            [0, 32, 32],
+            "small fabrics never split"
+        );
     }
 }

@@ -274,6 +274,12 @@ pub struct QueueingReport {
     /// injection port included; workload left uninjected at the
     /// horizon is not).
     pub injected: usize,
+    /// Workload never injected when the run stopped, in the same units
+    /// as `injected` (packets, or destination leaves for multicast):
+    /// `injected + uninjected` is the workload size. Nonzero only when
+    /// the run was cut short — at the `max_cycles` horizon, or by a
+    /// backpressure deadlock.
+    pub uninjected: usize,
     /// Packets that reached their destination.
     pub delivered: usize,
     /// Packets tail-dropped at a full buffer.
@@ -696,6 +702,7 @@ mod tests {
             offered_per_cycle: 1.0,
             cycles: 0,
             injected: 0,
+            uninjected: 0,
             delivered: 0,
             dropped_full: 0,
             dropped_unroutable: 0,

@@ -988,6 +988,161 @@ proptest! {
     }
 }
 
+// --- Thread invariance across real shard splits -----------------------------
+//
+// Shard edges round up to 64-node multiples, so on the `B(2,3..6)`
+// fabrics above every node belongs to worker 0 and the 2- and 8-thread
+// runs never split any work. These batteries run on `B(2,7)`–`B(2,8)`
+// (128–256 nodes), where a second worker owns a real shard: roots,
+// sources and drained nodes land on different workers at 2 and 8
+// threads.
+
+/// The report of one contended run at `threads` drain threads, as
+/// JSON; `multicast` picks groups over pairs.
+fn contended_report_json(
+    dim: u32,
+    config: QueueConfig,
+    threads: usize,
+    multicast: bool,
+    seed: u64,
+) -> String {
+    let b = DeBruijn::new(2, dim);
+    let n = b.node_count();
+    let engine = QueueingEngine::from_family(
+        &b,
+        QueueConfig {
+            drain_threads: threads,
+            ..config
+        },
+    );
+    let router = DeBruijnRouter::new(b);
+    let report = if multicast {
+        // Hotspot-rooted trees pile onto one root (node n/2, owned by
+        // the last worker at 2 threads); random roots spread the rest.
+        let pattern = if seed.is_multiple_of(2) {
+            TrafficPattern::HotspotMulticast { fanout: 6 }
+        } else {
+            TrafficPattern::Multicast { fanout: 6 }
+        };
+        let groups = generate_multicast_workload(pattern, n, 2, 150, seed);
+        engine.run_multicast(&router, &groups, 0.25 * n as f64)
+    } else {
+        let pattern = TrafficPattern::Hotspot;
+        let workload = generate_workload(pattern, n, 2, 1_500, seed);
+        engine.run_classified(&router, &workload, 0.5 * n as f64, pattern.hot_node(n))
+    };
+    assert!(report.conserves_packets(), "{report:?}");
+    serde_json::to_string(&report).expect("report serializes")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Contended multicast — blocked branches, parked roots, tail-drop
+    /// subtrees — reports byte-identically at 1, 2 and 8 drain threads
+    /// on fabrics where the threads really split the roots and nodes.
+    #[test]
+    fn contended_multicast_is_thread_invariant_across_shards(
+        dim in 7u32..9,
+        buffers in 1usize..4,
+        vcs in 1usize..3,
+        tail_drop in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let config = QueueConfig {
+            max_cycles: 50_000,
+            ..config_from(buffers, 1, vcs, tail_drop)
+        };
+        let single = contended_report_json(dim, config, 1, true, seed);
+        for threads in [2usize, 8] {
+            prop_assert_eq!(
+                &single,
+                &contended_report_json(dim, config, threads, true, seed),
+                "{} drain threads diverged",
+                threads
+            );
+        }
+    }
+
+    /// The unicast twin: saturated hotspot traffic, backpressure and
+    /// tail-drop, at 1, 2 and 8 drain threads on split shards.
+    #[test]
+    fn contended_unicast_hotspot_is_thread_invariant_across_shards(
+        dim in 7u32..9,
+        buffers in 1usize..4,
+        vcs in 1usize..3,
+        tail_drop in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let config = QueueConfig {
+            max_cycles: 50_000,
+            ..config_from(buffers, 1, vcs, tail_drop)
+        };
+        let single = contended_report_json(dim, config, 1, false, seed);
+        for threads in [2usize, 8] {
+            prop_assert_eq!(
+                &single,
+                &contended_report_json(dim, config, threads, false, seed),
+                "{} drain threads diverged",
+                threads
+            );
+        }
+    }
+}
+
+/// A run cut at the cycle horizon reports the workload it never
+/// injected: `injected + uninjected` is the workload size, in packets
+/// for unicast and in destination leaves for multicast — in both
+/// engines, at 1 and 2 drain threads.
+#[test]
+fn horizon_truncation_reports_the_uninjected_workload() {
+    let b = DeBruijn::new(2, 7);
+    let n = b.node_count();
+    let router = DeBruijnRouter::new(b);
+    let config = |threads: usize| QueueConfig {
+        buffers: 4,
+        wavelengths: 1,
+        vcs: 2,
+        policy: ContentionPolicy::Backpressure,
+        hop_limit: None,
+        drain_threads: threads,
+        max_cycles: 40,
+    };
+    // One packet or group per cycle: 40 cycles admit about 40 of 400.
+    let workload = generate_workload(TrafficPattern::Uniform, n, 2, 400, 9);
+    let groups = generate_multicast_workload(TrafficPattern::Multicast { fanout: 5 }, n, 2, 400, 9);
+    let leaves: usize = groups.iter().map(|g| g.dsts.len()).sum();
+    let reference = ReferenceEngine::from_family(&b, config(1));
+    let mut reports = vec![
+        (reference.run(&router, &workload, 1.0), workload.len()),
+        (reference.run_multicast(&router, &groups, 1.0), leaves),
+    ];
+    for threads in [1usize, 2] {
+        let engine = QueueingEngine::from_family(&b, config(threads));
+        reports.push((engine.run(&router, &workload, 1.0), workload.len()));
+        reports.push((engine.run_multicast(&router, &groups, 1.0), leaves));
+        let streamed = WorkloadSource::new(TrafficPattern::Uniform, n, 2, 400, 9);
+        reports.push((engine.run_streamed(&router, &streamed, 1.0), workload.len()));
+    }
+    for (report, size) in reports {
+        assert!(report.conserves_packets(), "{report:?}");
+        assert_eq!(report.cycles, 40);
+        assert!(!report.deadlocked);
+        assert!(report.uninjected > 0, "the horizon cut the workload short");
+        assert_eq!(report.injected + report.uninjected, size, "{report:?}");
+    }
+    // A run that completes leaves nothing uninjected.
+    let engine = QueueingEngine::from_family(
+        &b,
+        QueueConfig {
+            max_cycles: 100_000,
+            ..config(1)
+        },
+    );
+    assert_eq!(engine.run(&router, &workload, 1.0).uninjected, 0);
+    assert_eq!(engine.run_multicast(&router, &groups, 1.0).uninjected, 0);
+}
+
 /// The acceptance result of this PR: a full broadcast from the hotspot
 /// root on `B(2,8)` — 255 leaves per tree, every tree the same
 /// saturated out-tree — runs **lossless** under backpressure with two
@@ -1086,7 +1241,7 @@ fn multicast_forwarding_index_agrees_across_engines() {
 fn compressed_table_runs_the_queueing_engine_past_the_dense_cap() {
     let b = DeBruijn::new(2, 14); // 16384 nodes, 2× the dense cap
     let n = b.node_count();
-    let table = RoutingTable::from_debruijn(&b);
+    let table = RoutingTable::try_from_debruijn(&b).expect("B(2,14) is under the table cap");
     assert!(table.is_compressed());
     let workload = generate_workload(TrafficPattern::Uniform, n, 2, 20_000, 5);
     let config = QueueConfig {
