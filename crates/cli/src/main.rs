@@ -127,6 +127,7 @@ fn cmd_design(args: &[String]) -> Result<(), String> {
         return Err("d must be at least 2".into());
     }
     let best = otis_layout::minimize_lenses(d, dd).expect("a layout always exists");
+    let otis = otis_optics::Otis::try_new(best.p(), best.q())?;
     println!("B({d},{dd}): {} nodes of degree {d}", best.node_count());
     println!(
         "lens-minimal layout: OTIS({}, {}) = (d^{}, d^{})",
@@ -140,8 +141,7 @@ fn cmd_design(args: &[String]) -> Result<(), String> {
         best.lens_count(),
         otis_layout::ii_layout_lens_count(d, best.node_count())
     );
-    let bench =
-        otis_optics::geometry::Bench::with_defaults(otis_optics::Otis::new(best.p(), best.q()));
+    let bench = otis_optics::geometry::Bench::with_defaults(otis);
     println!(
         "bench: {:.0} mm long, lens apertures {:.2} / {:.2} mm",
         bench.bench_length(),
@@ -361,6 +361,12 @@ fn parse_traffic_args(args: &[String]) -> Result<(Vec<String>, TrafficOptions), 
     Ok((positionals, options))
 }
 
+/// Largest fabric `otis traffic` simulates: the million-node decade
+/// (B(2,20), B(4,10)). The layout, the isomorphism witness and the
+/// engines all materialize per-node state, so a larger shape is
+/// refused up front rather than left to overflow or exhaust memory.
+const MAX_TRAFFIC_NODES: u64 = 1 << 20;
+
 fn cmd_traffic(args: &[String]) -> Result<(), String> {
     let (positionals, mut options) = parse_traffic_args(args)?;
     let d: u32 = parse(&positionals, 0, "d")?;
@@ -375,6 +381,11 @@ fn cmd_traffic(args: &[String]) -> Result<(), String> {
     }
     let n = otis_util::digits::checked_pow(d as u64, dd)
         .ok_or_else(|| format!("d^D overflows u64 (d = {d}, D = {dd})"))?;
+    if n > MAX_TRAFFIC_NODES {
+        return Err(format!(
+            "B({d},{dd}) has {n} nodes; traffic runs take at most {MAX_TRAFFIC_NODES} (2^20)"
+        ));
+    }
 
     // Host the fabric on its lens-minimal OTIS layout.
     let spec = otis_layout::minimize_lenses(d, dd)

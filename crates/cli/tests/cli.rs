@@ -127,6 +127,37 @@ fn traffic_rejects_bad_input() {
 }
 
 #[test]
+fn traffic_refuses_hostile_shapes_quickly_without_panicking() {
+    // p·q past u64, a witness past u32, and a billion-node fabric: each
+    // is refused by the node-count limit before any layout is built.
+    for shape in [["3", "40"], ["16", "8"], ["2", "30"]] {
+        let start = std::time::Instant::now();
+        let out = otis(&["traffic", shape[0], shape[1], "uniform", "10"]);
+        let err = stderr(&out);
+        assert!(!out.status.success(), "{shape:?} accepted");
+        assert!(
+            err.contains("error: ") && err.contains("at most 1048576"),
+            "{shape:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{shape:?}: {err}");
+        assert!(
+            start.elapsed().as_secs() < 10,
+            "{shape:?} took {:?}",
+            start.elapsed()
+        );
+    }
+}
+
+#[test]
+fn design_refuses_an_otis_past_u64() {
+    let out = otis(&["design", "3", "40"]);
+    let err = stderr(&out);
+    assert!(!out.status.success());
+    assert!(err.contains("more than 2^64 transceiver pairs"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
 fn traffic_past_the_dense_cap_rides_the_compressed_table() {
     // B(2,14) = 16384 nodes — double the dense-table cap, a hard
     // error before the interval-compressed table. Now the fabric

@@ -65,4 +65,4 @@ pub use router::{
     AdaptiveRouter, BfsRouter, Candidates, CongestionMap, Dateline, DeBruijnRouter, KautzRouter,
     NoCongestion, RankedCandidates, RelabeledRouter, Router, RoutingTable,
 };
-pub use routing::MulticastTree;
+pub use routing::{MulticastTree, TreeBuilder};

@@ -127,7 +127,8 @@ pub fn single_port_broadcast(b: &DeBruijn, root: u64) -> Vec<Vec<(u64, u64)>> {
 
 // ----- multicast trees -------------------------------------------------------
 
-/// Sentinel for "no parent arc" (the arc hangs off the root).
+/// Sentinel for "no parent arc" (the arc hangs off the root), "not in
+/// the tree" (the builder's node table) and "no link" (a cut arc).
 const NO_ARC: u32 = u32::MAX;
 
 /// A multicast delivery tree: the union of a router's shortest-path
@@ -147,30 +148,28 @@ const NO_ARC: u32 = u32::MAX;
 ///
 /// Arcs are indexed `0..arc_count()` with parents strictly before
 /// children, so a single forward pass can propagate any root-to-leaf
-/// quantity (depths, latencies). Per arc the tree records the child
-/// endpoint's delivery flag (is it a requested destination?) and its
-/// *leaf load* — how many requested destinations sit in the subtree
-/// under it, i.e. how many unicast packets the arc would have carried
-/// had each destination been served by its own shortest-path copy.
+/// quantity (depths, latencies). Per arc the tree records the requests
+/// delivered at its child endpoint (an O(1) lookup) and its *leaf
+/// load* — how many requested destinations sit in the subtree under
+/// it, i.e. how many unicast packets the arc would have carried had
+/// each destination been served by its own shortest-path copy. Child
+/// lists are stored flat (CSR: one offsets array, one list).
 /// `max(trees per link)` over a workload is the **multicast forwarding
 /// index** of the BCube analysis in PAPERS.md; `max(leaf load per
 /// link)` is its unicast counterpart, and the gap between the two is
 /// the replication the tree saved.
-#[derive(Debug, Clone)]
+///
+/// Every tree comes out of a [`TreeBuilder`]; build many trees through
+/// one builder to reuse its buffers.
+#[derive(Debug, Clone, Default)]
 pub struct MulticastTree {
     root: u64,
-    /// `(parent, child)` fabric arcs, parents before children.
-    arcs: Vec<(u64, u64)>,
-    /// Index of the arc into the parent endpoint ([`NO_ARC`] = root).
-    parent_arc: Vec<u32>,
-    /// Depth of the child endpoint (root = depth 0).
-    depth: Vec<u32>,
-    /// True iff the child endpoint is a requested destination.
-    delivers: Vec<bool>,
-    /// Requested destinations in the subtree under the arc.
-    leaf_load: Vec<u64>,
-    /// Child arc indices per arc, same indexing.
-    children: Vec<Vec<u32>>,
+    /// The tree arcs, parents before children.
+    arcs: Vec<TreeArc>,
+    /// CSR child lists: `child_list[child_off[a]..child_off[a + 1]]`
+    /// are arc `a`'s child arcs, ascending.
+    child_off: Vec<u32>,
+    child_list: Vec<u32>,
     /// Arc indices hanging directly off the root.
     root_arcs: Vec<u32>,
     /// How many times the root itself was requested (delivered at the
@@ -180,36 +179,65 @@ pub struct MulticastTree {
     unreachable: Vec<u64>,
 }
 
-impl MulticastTree {
+/// One arc of a [`MulticastTree`].
+#[derive(Debug, Clone, Copy)]
+struct TreeArc {
+    /// Parent endpoint.
+    from: u64,
+    /// Child endpoint.
+    to: u64,
+    /// Index of the arc into `from` ([`NO_ARC`] = `from` is the root).
+    parent: u32,
+    /// Depth of `to` (root = depth 0).
+    depth: u32,
+    /// The link the builder's resolver named ([`NO_ARC`] = cut).
+    link: u32,
+    /// Requests delivered at `to`.
+    deliveries: u64,
+    /// Requested destinations in the subtree under the arc.
+    leaf_load: u64,
+}
+
+/// Reusable scratch for building [`MulticastTree`]s: once its buffers
+/// have grown, a builder (start from `default()`) makes any number of
+/// trees without allocating. Its node → incoming-arc table spans the
+/// fabric but is reset only at the nodes the previous tree touched, so
+/// a small tree on a large fabric costs its own size, not the
+/// fabric's.
+#[derive(Debug, Default)]
+pub struct TreeBuilder {
+    /// node → index of its incoming tree arc ([`NO_ARC`] = not in the
+    /// tree): pure lookups, so a map would buy nothing but hashing.
+    incoming: Vec<u32>,
+    tree: MulticastTree,
+}
+
+impl TreeBuilder {
     /// Build the delivery tree for `root → dsts` over `router`'s
     /// shortest-path next hops. Duplicate destinations are delivered
     /// once per request (`leaf_load` counts requests); destinations
-    /// the router cannot reach are recorded in
-    /// [`MulticastTree::unreachable`].
-    pub fn build(router: &dyn Router, root: u64, dsts: &[u64]) -> Self {
+    /// the router cannot reach — off-fabric, no next hop, an
+    /// off-fabric hop, or a walk past the hop limit `max(n, 64)` —
+    /// are recorded in [`MulticastTree::unreachable`].
+    ///
+    /// `link(from, to)` names the fabric link each new arc rides, in
+    /// arc order. `None` (no such link) cuts the arc and its whole
+    /// subtree; the resolver is not asked about arcs below a cut.
+    pub fn build(
+        &mut self,
+        router: &dyn Router,
+        root: u64,
+        dsts: &[u64],
+        mut link: impl FnMut(u64, u64) -> Option<u32>,
+    ) -> &MulticastTree {
         let n = router.node_count();
         assert!(
             root < n,
             "root {root} is not a fabric node (fabric has {n})"
         );
+        self.reset(n, root);
         let hop_limit = n.max(64);
-        let mut tree = MulticastTree {
-            root,
-            arcs: Vec::new(),
-            parent_arc: Vec::new(),
-            depth: Vec::new(),
-            delivers: Vec::new(),
-            leaf_load: Vec::new(),
-            children: Vec::new(),
-            root_arcs: Vec::new(),
-            self_requests: 0,
-            unreachable: Vec::new(),
-        };
-        // node → index of its (unique) incoming tree arc, dense over
-        // the fabric ([`NO_ARC`] = not in the tree): pure lookups, so
-        // a map would buy nothing but hashing — and the dense table
-        // keeps tree construction order-deterministic by construction.
-        let mut incoming: Vec<u32> = vec![NO_ARC; n as usize];
+        let TreeBuilder { incoming, tree } = self;
         'dst: for &dst in dsts {
             if dst == root {
                 tree.self_requests += 1;
@@ -227,55 +255,56 @@ impl MulticastTree {
                 let mut hops = 0u64;
                 while current != dst {
                     hops += 1;
-                    if hops > hop_limit {
-                        tree.unreachable.push(dst); // routing loop
-                        continue 'dst;
-                    }
-                    let Some(next) = router.next_hop(current, dst) else {
+                    let next = (hops <= hop_limit)
+                        .then(|| router.next_hop(current, dst))
+                        .flatten()
+                        .filter(|&next| next < n);
+                    let Some(next) = next else {
+                        // A routing loop, no next hop, or an off-fabric one.
                         tree.unreachable.push(dst);
                         continue 'dst;
                     };
-                    if next >= n {
-                        // Router proposed an off-fabric hop.
-                        tree.unreachable.push(dst);
-                        continue 'dst;
-                    }
                     if incoming[next as usize] == NO_ARC {
-                        let index = tree.arcs.len() as u32;
-                        let parent = if current == root {
-                            tree.root_arcs.push(index);
-                            NO_ARC
-                        } else {
-                            incoming[current as usize]
-                        };
-                        tree.arcs.push((current, next));
-                        tree.parent_arc.push(parent);
-                        tree.depth.push(if parent == NO_ARC {
-                            1
-                        } else {
-                            tree.depth[parent as usize] + 1
-                        });
-                        tree.delivers.push(false);
-                        tree.leaf_load.push(0);
-                        incoming[next as usize] = index;
+                        tree.push_arc(incoming, current, next, &mut link);
                     }
                     current = next;
                 }
             }
-            // Charge the request up the tree chain to the root.
-            let arc = incoming[dst as usize];
-            tree.delivers[arc as usize] = true;
-            let mut chain = arc;
-            loop {
-                tree.leaf_load[chain as usize] += 1;
-                if tree.parent_arc[chain as usize] == NO_ARC {
-                    break;
-                }
-                chain = tree.parent_arc[chain as usize];
-            }
+            tree.arcs[incoming[dst as usize] as usize].deliveries += 1;
         }
-        tree.link_children();
-        tree
+        tree.finish();
+        &self.tree
+    }
+
+    /// Forget the previous tree: reset the node table where it
+    /// touched, grow it to `n` nodes, and start an empty tree at
+    /// `root`.
+    fn reset(&mut self, n: u64, root: u64) {
+        for arc in &self.tree.arcs {
+            self.incoming[arc.to as usize] = NO_ARC;
+        }
+        if self.incoming.len() < n as usize {
+            self.incoming.resize(n as usize, NO_ARC);
+        }
+        let tree = &mut self.tree;
+        tree.root = root;
+        tree.self_requests = 0;
+        tree.arcs.clear();
+        tree.child_off.clear();
+        tree.child_list.clear();
+        tree.root_arcs.clear();
+        tree.unreachable.clear();
+    }
+}
+
+impl MulticastTree {
+    /// [`TreeBuilder::build`] with a fresh builder, accepting every
+    /// arc the router proposes ([`MulticastTree::link`] reads `0`
+    /// throughout).
+    pub fn build(router: &dyn Router, root: u64, dsts: &[u64]) -> Self {
+        let mut builder = TreeBuilder::default();
+        builder.build(router, root, dsts, |_, _| Some(0));
+        builder.tree
     }
 
     /// The full-fabric broadcast tree from `root` on `B(d, D)`,
@@ -285,24 +314,14 @@ impl MulticastTree {
     pub fn broadcast(b: &DeBruijn, root: u64) -> Self {
         let n = b.node_count();
         assert!(root < n, "root {root} is not a vertex of {}", b.name());
-        let mut tree = MulticastTree {
-            root,
-            arcs: Vec::new(),
-            parent_arc: Vec::new(),
-            depth: Vec::new(),
-            delivers: Vec::new(),
-            leaf_load: Vec::new(),
-            children: Vec::new(),
-            root_arcs: Vec::new(),
-            self_requests: 0,
-            unreachable: Vec::new(),
-        };
-        // Dense node → incoming-arc table, as in [`MulticastTree::build`].
-        let mut incoming: Vec<u32> = vec![NO_ARC; n as usize];
+        let mut builder = TreeBuilder::default();
+        builder.reset(n, root);
+        let TreeBuilder {
+            mut incoming,
+            mut tree,
+        } = builder;
         let mut frontier = vec![root];
-        let mut level = 0u32;
         while !frontier.is_empty() {
-            level += 1;
             let mut next_frontier = Vec::new();
             for &u in &frontier {
                 for k in 0..b.degree() {
@@ -310,44 +329,88 @@ impl MulticastTree {
                     if v == root || incoming[v as usize] != NO_ARC {
                         continue;
                     }
-                    let index = tree.arcs.len() as u32;
-                    let parent = if u == root {
-                        tree.root_arcs.push(index);
-                        NO_ARC
-                    } else {
-                        incoming[u as usize]
-                    };
-                    tree.arcs.push((u, v));
-                    tree.parent_arc.push(parent);
-                    tree.depth.push(level);
-                    tree.delivers.push(true);
-                    tree.leaf_load.push(0);
-                    incoming[v as usize] = index;
+                    // Every non-root node is one delivery.
+                    tree.push_arc(&mut incoming, u, v, &mut |_, _| Some(0));
+                    tree.arcs[incoming[v as usize] as usize].deliveries = 1;
                     next_frontier.push(v);
                 }
             }
             frontier = next_frontier;
         }
-        // Every non-root node is one delivery; leaf loads are subtree
-        // sizes, accumulated children-before-parents.
-        for arc in (0..tree.arcs.len()).rev() {
-            tree.leaf_load[arc] += 1;
-            let parent = tree.parent_arc[arc];
-            if parent != NO_ARC {
-                tree.leaf_load[parent as usize] += tree.leaf_load[arc];
-            }
-        }
-        tree.link_children();
+        tree.finish();
         tree
     }
 
-    fn link_children(&mut self) {
-        self.children = vec![Vec::new(); self.arcs.len()];
-        for (arc, &parent) in self.parent_arc.iter().enumerate() {
+    /// Append the arc `from → to`, hung under `from`'s incoming arc
+    /// (or off the root), and record it as `to`'s incoming arc.
+    fn push_arc(
+        &mut self,
+        incoming: &mut [u32],
+        from: u64,
+        to: u64,
+        link: &mut impl FnMut(u64, u64) -> Option<u32>,
+    ) {
+        let index = self.arcs.len() as u32;
+        let parent = if from == self.root {
+            self.root_arcs.push(index);
+            NO_ARC
+        } else {
+            incoming[from as usize]
+        };
+        let (depth, cut) = match parent {
+            NO_ARC => (1, false),
+            p => {
+                let up = &self.arcs[p as usize];
+                (up.depth + 1, up.link == NO_ARC)
+            }
+        };
+        let link = if cut { None } else { link(from, to) };
+        self.arcs.push(TreeArc {
+            from,
+            to,
+            parent,
+            depth,
+            link: link.unwrap_or(NO_ARC),
+            deliveries: 0,
+            leaf_load: 0,
+        });
+        incoming[to as usize] = index;
+    }
+
+    /// Derive leaf loads (children before parents) and the CSR child
+    /// lists (by counting) once every arc and delivery is in.
+    fn finish(&mut self) {
+        let arcs = self.arcs.len();
+        for index in (0..arcs).rev() {
+            let arc = &mut self.arcs[index];
+            arc.leaf_load += arc.deliveries;
+            let (parent, load) = (arc.parent, arc.leaf_load);
             if parent != NO_ARC {
-                self.children[parent as usize].push(arc as u32);
+                self.arcs[parent as usize].leaf_load += load;
             }
         }
+        // Count children into `child_off[p + 1]`, prefix-sum into row
+        // starts, fill each row in arc order (bumping its start), then
+        // shift the bumped starts back into place.
+        self.child_off.resize(arcs + 1, 0);
+        for arc in &self.arcs {
+            if arc.parent != NO_ARC {
+                self.child_off[arc.parent as usize + 1] += 1;
+            }
+        }
+        for arc in 0..arcs {
+            self.child_off[arc + 1] += self.child_off[arc];
+        }
+        self.child_list.resize(self.child_off[arcs] as usize, 0);
+        for (index, arc) in self.arcs.iter().enumerate() {
+            if arc.parent != NO_ARC {
+                let slot = &mut self.child_off[arc.parent as usize];
+                self.child_list[*slot as usize] = index as u32;
+                *slot += 1;
+            }
+        }
+        self.child_off.copy_within(0..arcs, 1);
+        self.child_off[0] = 0;
     }
 
     /// The tree's root node.
@@ -362,37 +425,45 @@ impl MulticastTree {
 
     /// The `(parent, child)` endpoints of the `arc`-th tree arc.
     pub fn endpoints(&self, arc: usize) -> (u64, u64) {
-        self.arcs[arc]
+        (self.arcs[arc].from, self.arcs[arc].to)
     }
 
     /// Depth of the `arc`-th arc's child endpoint (root = 0).
     pub fn arc_depth(&self, arc: usize) -> u32 {
-        self.depth[arc]
+        self.arcs[arc].depth
     }
 
     /// Index of the arc into the `arc`-th arc's parent endpoint;
     /// `None` when the arc hangs off the root. Always `< arc` —
     /// parents precede children.
     pub fn parent_arc(&self, arc: usize) -> Option<usize> {
-        let parent = self.parent_arc[arc];
+        let parent = self.arcs[arc].parent;
         (parent != NO_ARC).then_some(parent as usize)
+    }
+
+    /// The fabric link the `arc`-th arc rides, as named by the
+    /// resolver given to [`TreeBuilder::build`]; `None` when the arc
+    /// is cut — the resolver rejected it or one of its ancestors.
+    pub fn link(&self, arc: usize) -> Option<u32> {
+        let link = self.arcs[arc].link;
+        (link != NO_ARC).then_some(link)
     }
 
     /// True iff the `arc`-th arc's child endpoint is a requested
     /// destination.
     pub fn delivers(&self, arc: usize) -> bool {
-        self.delivers[arc]
+        self.arcs[arc].deliveries > 0
     }
 
     /// Requested destinations in the subtree under the `arc`-th arc —
     /// the unicast packets this arc would carry without replication.
     pub fn leaf_load(&self, arc: usize) -> u64 {
-        self.leaf_load[arc]
+        self.arcs[arc].leaf_load
     }
 
-    /// Child arc indices of the `arc`-th arc.
+    /// Child arc indices of the `arc`-th arc, ascending.
     pub fn child_arcs(&self, arc: usize) -> &[u32] {
-        &self.children[arc]
+        &self.child_list[self.child_off[arc] as usize..self.child_off[arc + 1] as usize]
     }
 
     /// Requests delivered at the `arc`-th arc's child endpoint: its
@@ -400,11 +471,7 @@ impl MulticastTree {
     /// [`MulticastTree::delivers`]; counts duplicates per request, so
     /// deliveries summed over arcs equal [`MulticastTree::reached_leaves`].
     pub fn deliveries_at(&self, arc: usize) -> u64 {
-        let downstream: u64 = self.children[arc]
-            .iter()
-            .map(|&child| self.leaf_load[child as usize])
-            .sum();
-        self.leaf_load[arc] - downstream
+        self.arcs[arc].deliveries
     }
 
     /// Arc indices hanging directly off the root.
@@ -427,7 +494,7 @@ impl MulticastTree {
     pub fn reached_leaves(&self) -> u64 {
         self.root_arcs
             .iter()
-            .map(|&arc| self.leaf_load[arc as usize])
+            .map(|&arc| self.arcs[arc as usize].leaf_load)
             .sum()
     }
 
@@ -441,7 +508,7 @@ impl MulticastTree {
     /// Deepest arc of the tree, in hops from the root (`0` for an
     /// empty tree).
     pub fn max_depth(&self) -> u32 {
-        self.depth.iter().copied().max().unwrap_or(0)
+        self.arcs.iter().map(|arc| arc.depth).max().unwrap_or(0)
     }
 }
 

@@ -50,11 +50,24 @@ pub struct Otis {
 }
 
 impl Otis {
-    /// `OTIS(p, q)` with `p, q ≥ 1` and `pq` within `u64`.
+    /// `OTIS(p, q)` with `p, q ≥ 1` and `pq` within `u64`; panics
+    /// otherwise (see [`Otis::try_new`]).
     pub fn new(p: u64, q: u64) -> Self {
-        assert!(p >= 1 && q >= 1, "OTIS needs p, q >= 1 (got {p}, {q})");
-        assert!(p.checked_mul(q).is_some(), "p·q overflows u64");
-        Otis { p, q }
+        Otis::try_new(p, q).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// `OTIS(p, q)`, or why it cannot exist: `p` or `q` is zero, or
+    /// the `pq` transceiver pairs overflow `u64`.
+    pub fn try_new(p: u64, q: u64) -> Result<Self, String> {
+        if p == 0 || q == 0 {
+            return Err(format!("OTIS needs p, q >= 1 (got {p}, {q})"));
+        }
+        if p.checked_mul(q).is_none() {
+            return Err(format!(
+                "OTIS({p}, {q}) has more than 2^64 transceiver pairs"
+            ));
+        }
+        Ok(Otis { p, q })
     }
 
     /// Number of transmitter groups (= lenses in the first array).

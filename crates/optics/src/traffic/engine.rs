@@ -6,7 +6,7 @@
 use super::report::{percentile_f64, MulticastReport, TrafficReport};
 use super::workload::{MulticastGroup, WorkloadSource};
 use crate::simulator::OtisSimulator;
-use otis_core::{DigraphFamily, MulticastTree, Router};
+use otis_core::{DigraphFamily, Router, TreeBuilder};
 use otis_util::par_map;
 
 /// Precomputed physics of one transceiver's beam.
@@ -283,8 +283,8 @@ impl MulticastPartial {
 
 impl<'a> TrafficEngine<'a> {
     /// Route a multicast workload as delivery trees
-    /// ([`MulticastTree::build`] over `router`'s shortest-path next
-    /// hops), charging each tree arc **once** — the optical one-to-many
+    /// ([`TreeBuilder::build`] over `router`'s shortest-path next hops,
+    /// one builder per chunk of 64 groups), charging each tree arc **once** — the optical one-to-many
     /// story: a branch node replicates the signal, it does not re-send
     /// per leaf. Reports the multicast forwarding index (max trees per
     /// link) alongside the unicast index the same workload would have
@@ -308,10 +308,17 @@ impl<'a> TrafficEngine<'a> {
             let start = chunk_index * CHUNK;
             let end = ((chunk_index + 1) * CHUNK).min(workload.len());
             let mut partial = MulticastPartial::new(links);
+            let mut builder = TreeBuilder::default();
             let mut arc_latency: Vec<f64> = Vec::new();
-            let mut skipped: Vec<bool> = Vec::new();
             for group in &workload[start..end] {
-                let tree = MulticastTree::build(router, group.root, &group.dsts);
+                // Each arc resolves to its transceiver link as the tree
+                // grows; a non-neighbor hop cuts its whole subtree.
+                let tree = builder.build(router, group.root, &group.dsts, |from, to| {
+                    let base = from as usize * self.degree;
+                    (0..self.degree)
+                        .find(|&k| self.neighbors[base + k] == to)
+                        .map(|k| (base + k) as u32)
+                });
                 partial.dropped_leaves += tree.unreachable().len();
                 // Self-requests deliver at the source, zero latency.
                 partial.delivered_leaves += tree.self_requests();
@@ -320,30 +327,18 @@ impl<'a> TrafficEngine<'a> {
                 }
                 arc_latency.clear();
                 arc_latency.resize(tree.arc_count(), 0.0);
-                skipped.clear();
-                skipped.resize(tree.arc_count(), false);
                 // Arcs are parent-before-child, so one forward pass
                 // accumulates root-to-node latency.
                 for arc in 0..tree.arc_count() {
-                    let (from, to) = tree.endpoints(arc);
-                    let parent_latency = match tree.parent_arc(arc) {
-                        None => 0.0,
-                        Some(parent) if skipped[parent] => {
-                            skipped[arc] = true;
-                            partial.dropped_leaves += tree.deliveries_at(arc) as usize;
-                            continue;
-                        }
-                        Some(parent) => arc_latency[parent],
-                    };
-                    let base = from as usize * self.degree;
-                    let Some(k) = (0..self.degree).find(|&k| self.neighbors[base + k] == to) else {
-                        // The router proposed a non-neighbor: the whole
-                        // subtree is unreachable through this arc.
-                        skipped[arc] = true;
+                    let Some(link) = tree.link(arc) else {
+                        // Cut: the subtree is unreachable through here.
                         partial.dropped_leaves += tree.deliveries_at(arc) as usize;
                         continue;
                     };
-                    let link = base + k;
+                    let link = link as usize;
+                    let parent_latency = tree
+                        .parent_arc(arc)
+                        .map_or(0.0, |parent| arc_latency[parent]);
                     let cost = &self.costs[link];
                     // One optical transmission per tree arc.
                     partial.link_load[link] += 1;

@@ -74,7 +74,7 @@ pub use dynamics::{DynamicsSpec, StrandedPolicy};
 
 use super::report::QueueingReport;
 use super::workload::{MulticastGroup, WorkloadSource};
-use otis_core::{CongestionMap, Dateline, DigraphFamily, MulticastTree, Router};
+use otis_core::{CongestionMap, Dateline, DigraphFamily, Router, TreeBuilder};
 use otis_digraph::Digraph;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -255,11 +255,16 @@ impl CongestionMap for LinkOccupancy {
 /// arc, which is the leaf-unit bookkeeping the conservation law
 /// `injected_leaves = delivered + dropped + in_flight` runs on.
 ///
+/// One [`TreeBuilder`] walks every group, resolving each arc's fabric
+/// arc as it goes; its CSR children and O(1) per-arc deliveries let
+/// the flat rows come out of one reverse pass (kept weights) and one
+/// forward pass (emission) per group, with no per-group allocation.
 /// Arcs whose endpoints the fabric does not connect (a router proposed
-/// a non-neighbor) or that serve no leaf at all (partial walks toward
-/// destinations that turned out unreachable) are pruned here, their
-/// leaves folded into the group's unroutable count, so the cycle loop
-/// only ever sees spawnable copies.
+/// a non-neighbor) are cut together with their subtrees, their leaves
+/// folded into the group's unroutable count; arcs that serve no leaf
+/// at all (partial walks toward destinations that turned out
+/// unreachable, or chains whose every leaf was cut away) are dropped,
+/// so the cycle loop only ever sees spawnable copies.
 pub(super) struct TreeSet {
     /// Per tree arc: the fabric arc it rides.
     fabric_arc: Vec<u32>,
@@ -287,6 +292,21 @@ pub(super) struct TreeSet {
     forwarding_index: u64,
 }
 
+/// Marks a tree arc [`TreeSet::build`] does not keep.
+const NOT_KEPT: u32 = u32::MAX;
+
+/// `value` as a [`TreeSet`] `u32` — the width of its tree-arc ids and
+/// counts. Panics naming the limit and the group past `u32::MAX`,
+/// where a bare cast would wrap and corrupt the arena ids.
+fn tree_u32(value: u64, what: &str, group: usize) -> u32 {
+    u32::try_from(value).unwrap_or_else(|_| {
+        panic!(
+            "multicast group {group}: {what} reach {value}, past the u32 tree-arc limit {}",
+            u32::MAX
+        )
+    })
+}
+
 impl TreeSet {
     /// Flatten `groups`' delivery trees over `router` against fabric
     /// `g`.
@@ -306,105 +326,92 @@ impl TreeSet {
             forwarding_index: 0,
         };
         let mut tree_load = vec![0u64; g.arc_count()];
-        // Scratch, reused per group: invalid flags, kept-subtree
-        // weights, local→global ids.
-        let mut invalid: Vec<bool> = Vec::new();
+        let mut builder = TreeBuilder::default();
+        // Scratch, reused per group: kept-subtree weights, and each
+        // kept arc's rank among the group's kept arcs counted from the
+        // last ([`NOT_KEPT`] for the others).
         let mut kept_weight: Vec<u64> = Vec::new();
-        let mut fabric_of: Vec<u32> = Vec::new();
-        let mut global_id: Vec<u32> = Vec::new();
-        let mut children: Vec<Vec<u32>> = Vec::new();
-        for group in groups {
-            let tree = MulticastTree::build(router, group.root, &group.dsts);
+        let mut rank_from_end: Vec<u32> = Vec::new();
+        for (index, group) in groups.iter().enumerate() {
+            let tree = builder.build(router, group.root, &group.dsts, |from, to| {
+                arc_of(g, from, to).map(|arc| arc as u32)
+            });
             let arcs = tree.arc_count();
-            invalid.clear();
-            invalid.resize(arcs, false);
-            fabric_of.clear();
-            fabric_of.resize(arcs, u32::MAX);
-            global_id.clear();
-            global_id.resize(arcs, 0);
-            children.clear();
-            children.resize(arcs, Vec::new());
-            // Pass 1 (forward): an invalid arc — the router proposed a
-            // non-fabric hop — prunes its whole subtree at its topmost
-            // occurrence, where the subtree's leaves all become
-            // unroutable; descendants are marked silently.
-            let mut unroutable = tree.unreachable().len() as u64;
-            for arc in 0..arcs {
-                if let Some(parent) = tree.parent_arc(arc) {
-                    if invalid[parent] {
-                        invalid[arc] = true;
-                        continue;
-                    }
-                }
-                match arc_of(g, tree.endpoints(arc).0, tree.endpoints(arc).1) {
-                    Some(fabric) => fabric_of[arc] = fabric as u32,
-                    None => {
-                        invalid[arc] = true;
-                        unroutable += tree.leaf_load(arc);
-                    }
-                }
-            }
-            // Pass 2 (reverse): the weight each surviving arc actually
-            // carries — its own deliveries plus surviving children
-            // only. Leaves lost to pruned subtrees must NOT stay in
-            // ancestor weights (they are already in `unroutable`, and
-            // double-counting breaks leaf conservation).
             kept_weight.clear();
             kept_weight.resize(arcs, 0);
+            rank_from_end.clear();
+            rank_from_end.resize(arcs, NOT_KEPT);
+            // Reverse pass. A cut arc (the router proposed a non-fabric
+            // hop at or above it) serves none of its leaves: each
+            // becomes unroutable once, at the arc delivering it. Every
+            // other arc carries its own deliveries plus its kept
+            // children's weights only — leaves lost to cut subtrees
+            // must NOT stay in ancestor weights (they are already
+            // unroutable, and double-counting breaks leaf
+            // conservation). An arc left with no weight serves no leaf
+            // (a partial walk toward a destination that turned out
+            // unreachable, or a chain whose every leaf was cut away)
+            // and is not kept.
+            let mut unroutable = tree.unreachable().len() as u64;
+            let mut kept = 0u32;
             for arc in (0..arcs).rev() {
-                if invalid[arc] {
+                if tree.link(arc).is_none() {
+                    unroutable += tree.deliveries_at(arc);
                     continue;
                 }
                 kept_weight[arc] += tree.deliveries_at(arc);
+                if kept_weight[arc] > 0 {
+                    rank_from_end[arc] = kept;
+                    kept += 1;
+                }
                 if let Some(parent) = tree.parent_arc(arc) {
                     kept_weight[parent] += kept_weight[arc];
                 }
             }
-            // Pass 3 (forward): emit the kept arcs — valid and with a
-            // positive surviving weight (a zero-weight arc serves no
-            // leaf: partial walks toward unreachable destinations, or
-            // chains whose every leaf was pruned away).
+            // Forward pass: the kept arcs take the next `kept` global
+            // ids in tree order, so child rows (children come later)
+            // are known as each parent is emitted.
+            let end = tree_u32(
+                set.fabric_arc.len() as u64 + u64::from(kept),
+                "tree arcs",
+                index,
+            );
+            let id_of = |arc: usize| end - 1 - rank_from_end[arc];
             for arc in 0..arcs {
-                if invalid[arc] || kept_weight[arc] == 0 {
+                if rank_from_end[arc] == NOT_KEPT {
                     continue;
                 }
-                let id = set.fabric_arc.len() as u32;
-                global_id[arc] = id;
-                set.fabric_arc.push(fabric_of[arc]);
-                tree_load[fabric_of[arc] as usize] += 1;
-                set.deliveries.push(tree.deliveries_at(arc) as u32);
-                set.weight.push(kept_weight[arc] as u32);
-                match tree.parent_arc(arc) {
-                    Some(parent) => children[parent].push(id),
-                    None => set.root_arcs.push(id),
+                let fabric = tree.link(arc).expect("kept arcs ride fabric arcs");
+                set.fabric_arc.push(fabric);
+                tree_load[fabric as usize] += 1;
+                set.deliveries
+                    .push(tree_u32(tree.deliveries_at(arc), "deliveries", index));
+                set.weight
+                    .push(tree_u32(kept_weight[arc], "subtree weights", index));
+                if tree.parent_arc(arc).is_none() {
+                    set.root_arcs.push(id_of(arc));
                 }
-            }
-            // Child CSR rows, in global-id (= tree) order.
-            for arc in 0..arcs {
-                if !invalid[arc] && kept_weight[arc] > 0 {
-                    set.child_off.push(set.child_arcs.len() as u32);
-                    set.child_arcs.extend_from_slice(&children[arc]);
-                }
+                // Offsets count ids already checked against the limit:
+                // each kept arc sits in at most one child or root list.
+                set.child_off.push(set.child_arcs.len() as u32);
+                set.child_arcs.extend(
+                    tree.child_arcs(arc)
+                        .iter()
+                        .filter(|&&child| rank_from_end[child as usize] != NOT_KEPT)
+                        .map(|&child| id_of(child as usize)),
+                );
             }
             set.root_off.push(set.root_arcs.len() as u32);
             set.root.push(group.root);
-            set.self_requests.push(tree.self_requests() as u32);
-            set.unroutable.push(unroutable as u32);
-            set.leaves.push(tree.total_leaves() as u32);
-            // The leaf partition the conservation law runs on: every
-            // requested leaf is a self-request, unroutable, or carried
-            // by exactly one surviving root arc.
-            debug_assert_eq!(
-                tree.total_leaves(),
-                tree.self_requests() as u64 + unroutable + {
-                    let lo = set.root_off[set.root_off.len() - 2] as usize;
-                    set.root_arcs[lo..]
-                        .iter()
-                        .map(|&t| set.weight[t as usize] as u64)
-                        .sum::<u64>()
-                },
-                "pruning lost or double-counted leaves"
-            );
+            set.self_requests.push(tree_u32(
+                tree.self_requests() as u64,
+                "self-requests",
+                index,
+            ));
+            set.unroutable
+                .push(tree_u32(unroutable, "unroutable leaves", index));
+            set.leaves
+                .push(tree_u32(tree.total_leaves(), "leaves", index));
         }
         set.child_off.push(set.child_arcs.len() as u32);
         set.forwarding_index = tree_load.iter().copied().max().unwrap_or(0);
@@ -1427,5 +1434,329 @@ mod tests {
             cached_queries * 2 < fresh_queries,
             "cache saved too little: {cached_queries} vs {fresh_queries} queries"
         );
+    }
+}
+
+/// An independent oracle for [`TreeSet::build`]: each group's tree is
+/// grown the plain way (a fresh node table per tree, leaf loads charged
+/// up each request's chain, nested child lists) and flattened in three
+/// passes — invalid-subtree marks, kept weights, emission — with
+/// deliveries recomputed from leaf loads.
+#[cfg(test)]
+mod tree_oracle {
+    use super::*;
+    use otis_core::{DeBruijn, DeBruijnRouter, RoutingTable};
+    use proptest::prelude::*;
+
+    /// One group's tree, arcs parents-first.
+    struct OracleTree {
+        arcs: Vec<(u64, u64)>,
+        parent: Vec<Option<usize>>,
+        leaf_load: Vec<u64>,
+        children: Vec<Vec<usize>>,
+        self_requests: u64,
+        unreachable: u64,
+    }
+
+    impl OracleTree {
+        fn grow(router: &dyn Router, root: u64, dsts: &[u64]) -> Self {
+            let n = router.node_count();
+            let mut tree = OracleTree {
+                arcs: Vec::new(),
+                parent: Vec::new(),
+                leaf_load: Vec::new(),
+                children: Vec::new(),
+                self_requests: 0,
+                unreachable: 0,
+            };
+            let mut incoming: Vec<Option<usize>> = vec![None; n as usize];
+            'dst: for &dst in dsts {
+                if dst == root {
+                    tree.self_requests += 1;
+                    continue;
+                }
+                if dst >= n {
+                    tree.unreachable += 1;
+                    continue;
+                }
+                if incoming[dst as usize].is_none() {
+                    let mut current = root;
+                    let mut hops = 0u64;
+                    while current != dst {
+                        hops += 1;
+                        let next = match router.next_hop(current, dst) {
+                            Some(next) if next < n && hops <= n.max(64) => next,
+                            _ => {
+                                tree.unreachable += 1;
+                                continue 'dst;
+                            }
+                        };
+                        if incoming[next as usize].is_none() {
+                            incoming[next as usize] = Some(tree.arcs.len());
+                            tree.parent.push(if current == root {
+                                None
+                            } else {
+                                incoming[current as usize]
+                            });
+                            tree.arcs.push((current, next));
+                            tree.leaf_load.push(0);
+                        }
+                        current = next;
+                    }
+                }
+                let mut chain = incoming[dst as usize];
+                while let Some(arc) = chain {
+                    tree.leaf_load[arc] += 1;
+                    chain = tree.parent[arc];
+                }
+            }
+            tree.children = vec![Vec::new(); tree.arcs.len()];
+            for (arc, parent) in tree.parent.iter().enumerate() {
+                if let Some(parent) = *parent {
+                    tree.children[parent].push(arc);
+                }
+            }
+            tree
+        }
+
+        fn deliveries_at(&self, arc: usize) -> u64 {
+            let downstream: u64 = self.children[arc].iter().map(|&c| self.leaf_load[c]).sum();
+            self.leaf_load[arc] - downstream
+        }
+    }
+
+    fn oracle(g: &Digraph, router: &dyn Router, groups: &[MulticastGroup]) -> TreeSet {
+        let mut set = TreeSet {
+            fabric_arc: Vec::new(),
+            deliveries: Vec::new(),
+            weight: Vec::new(),
+            child_off: Vec::new(),
+            child_arcs: Vec::new(),
+            root_off: vec![0],
+            root_arcs: Vec::new(),
+            root: Vec::new(),
+            self_requests: Vec::new(),
+            unroutable: Vec::new(),
+            leaves: Vec::new(),
+            forwarding_index: 0,
+        };
+        let mut tree_load = vec![0u64; g.arc_count()];
+        for group in groups {
+            let tree = OracleTree::grow(router, group.root, &group.dsts);
+            let arcs = tree.arcs.len();
+            let mut invalid = vec![false; arcs];
+            let mut fabric_of = vec![u32::MAX; arcs];
+            let mut unroutable = tree.unreachable;
+            // Pass 1: prune each invalid subtree at its topmost arc.
+            for arc in 0..arcs {
+                if tree.parent[arc].is_some_and(|parent| invalid[parent]) {
+                    invalid[arc] = true;
+                    continue;
+                }
+                match arc_of(g, tree.arcs[arc].0, tree.arcs[arc].1) {
+                    Some(fabric) => fabric_of[arc] = fabric as u32,
+                    None => {
+                        invalid[arc] = true;
+                        unroutable += tree.leaf_load[arc];
+                    }
+                }
+            }
+            // Pass 2: weights the surviving arcs carry.
+            let mut kept = vec![0u64; arcs];
+            for arc in (0..arcs).rev() {
+                if invalid[arc] {
+                    continue;
+                }
+                kept[arc] += tree.deliveries_at(arc);
+                if let Some(parent) = tree.parent[arc] {
+                    kept[parent] += kept[arc];
+                }
+            }
+            // Pass 3: emit valid arcs with positive weight.
+            let mut global_id = vec![0u32; arcs];
+            let mut children: Vec<Vec<u32>> = vec![Vec::new(); arcs];
+            let emitted = |arc: usize| !invalid[arc] && kept[arc] > 0;
+            for arc in (0..arcs).filter(|&arc| emitted(arc)) {
+                let id = set.fabric_arc.len() as u32;
+                global_id[arc] = id;
+                set.fabric_arc.push(fabric_of[arc]);
+                tree_load[fabric_of[arc] as usize] += 1;
+                set.deliveries.push(tree.deliveries_at(arc) as u32);
+                set.weight.push(kept[arc] as u32);
+                match tree.parent[arc] {
+                    Some(parent) => children[parent].push(id),
+                    None => set.root_arcs.push(id),
+                }
+            }
+            for arc in (0..arcs).filter(|&arc| emitted(arc)) {
+                set.child_off.push(set.child_arcs.len() as u32);
+                set.child_arcs.extend_from_slice(&children[arc]);
+            }
+            set.root_off.push(set.root_arcs.len() as u32);
+            set.root.push(group.root);
+            set.self_requests.push(tree.self_requests as u32);
+            set.unroutable.push(unroutable as u32);
+            set.leaves.push(group.dsts.len() as u32);
+        }
+        set.child_off.push(set.child_arcs.len() as u32);
+        set.forwarding_index = tree_load.iter().copied().max().unwrap_or(0);
+        set
+    }
+
+    fn mix(x: u64) -> u64 {
+        let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    /// An honest router that lies on a salted share of queries, in
+    /// every way a router can: a hop to a (usually) non-neighbor,
+    /// `None`, a hop past the fabric, and — per cursed destination —
+    /// a walk over fabric arcs that never arrives, so the walk hits
+    /// the hop limit.
+    struct Liar<'a> {
+        honest: &'a dyn Router,
+        g: &'a Digraph,
+        salt: u64,
+    }
+
+    impl Router for Liar<'_> {
+        fn node_count(&self) -> u64 {
+            self.honest.node_count()
+        }
+
+        fn name(&self) -> String {
+            "liar".into()
+        }
+
+        fn next_hop(&self, current: u64, dst: u64) -> Option<u64> {
+            let n = self.node_count();
+            if mix(dst ^ self.salt).is_multiple_of(7) {
+                let wander = self
+                    .g
+                    .out_neighbors(current as u32)
+                    .iter()
+                    .map(|&v| v as u64);
+                return Some(wander.clone().find(|&v| v != dst).unwrap_or(current));
+            }
+            let roll = mix(current.wrapping_mul(n).wrapping_add(dst) ^ self.salt);
+            match roll % 11 {
+                0 => Some(roll % n),
+                1 => None,
+                2 => Some(n + roll % 3),
+                _ => self.honest.next_hop(current, dst),
+            }
+        }
+    }
+
+    fn assert_matches_oracle(
+        g: &Digraph,
+        router: &dyn Router,
+        groups: &[MulticastGroup],
+    ) -> Result<(), String> {
+        let built = TreeSet::build(g, router, groups);
+        let want = oracle(g, router, groups);
+        prop_assert_eq!(&built.fabric_arc, &want.fabric_arc);
+        prop_assert_eq!(&built.deliveries, &want.deliveries);
+        prop_assert_eq!(&built.weight, &want.weight);
+        prop_assert_eq!(&built.child_off, &want.child_off);
+        prop_assert_eq!(&built.child_arcs, &want.child_arcs);
+        prop_assert_eq!(&built.root_off, &want.root_off);
+        prop_assert_eq!(&built.root_arcs, &want.root_arcs);
+        prop_assert_eq!(&built.root, &want.root);
+        prop_assert_eq!(&built.self_requests, &want.self_requests);
+        prop_assert_eq!(&built.unroutable, &want.unroutable);
+        prop_assert_eq!(&built.leaves, &want.leaves);
+        prop_assert_eq!(built.forwarding_index, want.forwarding_index);
+        Ok(())
+    }
+
+    /// Groups over `n` nodes from raw draws: roots on the fabric;
+    /// destinations mostly on it, with duplicates, self-requests and
+    /// off-fabric ids mixed in.
+    fn groups_from(n: u64, raw: &[(u64, Vec<u64>)]) -> Vec<MulticastGroup> {
+        raw.iter()
+            .map(|(root, dsts)| {
+                let root = root % n;
+                let dsts = dsts
+                    .iter()
+                    .map(|&d| match d % 10 {
+                        0 => root,
+                        1 => n + d % 5,
+                        _ => d % n,
+                    })
+                    .collect::<Vec<_>>();
+                let doubled = dsts.iter().take(2).copied().collect::<Vec<_>>();
+                MulticastGroup {
+                    root,
+                    dsts: [dsts, doubled].concat(),
+                }
+            })
+            .collect()
+    }
+
+    fn raw_groups() -> impl Strategy<Value = Vec<(u64, Vec<u64>)>> {
+        proptest::collection::vec(
+            (any::<u64>(), proptest::collection::vec(any::<u64>(), 0..12)),
+            1..8,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random digraphs — sinks, parallel arcs and self-loops
+        /// included — under their BFS table, honest or lying.
+        #[test]
+        fn tree_set_matches_oracle_on_random_digraphs(
+            n in 2usize..24,
+            adjacency in proptest::collection::vec(proptest::collection::vec(any::<u32>(), 0..4), 24),
+            raw in raw_groups(),
+            salt in any::<u64>(),
+            lie in any::<bool>(),
+        ) {
+            let g = Digraph::from_fn(n, |u| {
+                adjacency[u as usize].iter().map(|&v| v % n as u32).collect::<Vec<_>>()
+            });
+            let table = RoutingTable::new(&g);
+            let liar = Liar { honest: &table, g: &g, salt };
+            let router: &dyn Router = if lie { &liar } else { &table };
+            assert_matches_oracle(&g, router, &groups_from(n as u64, &raw))?;
+        }
+
+        /// De Bruijn fabrics under the arithmetic router, honest or
+        /// lying.
+        #[test]
+        fn tree_set_matches_oracle_on_debruijn(
+            d in 2u32..4,
+            dim in 2u32..6,
+            raw in raw_groups(),
+            salt in any::<u64>(),
+            lie in any::<bool>(),
+        ) {
+            let b = DeBruijn::new(d, dim);
+            let g = b.digraph();
+            let arithmetic = DeBruijnRouter::new(b);
+            let liar = Liar { honest: &arithmetic, g: &g, salt };
+            let router: &dyn Router = if lie { &liar } else { &arithmetic };
+            assert_matches_oracle(&g, router, &groups_from(b.node_count(), &raw))?;
+        }
+    }
+
+    #[test]
+    fn tree_u32_takes_the_whole_u32_range() {
+        assert_eq!(
+            tree_u32(u64::from(u32::MAX) - 1, "tree arcs", 0),
+            u32::MAX - 1
+        );
+        assert_eq!(tree_u32(u64::from(u32::MAX), "tree arcs", 0), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "multicast group 7: tree arcs reach 4294967296, past the u32 tree-arc limit 4294967295"
+    )]
+    fn tree_u32_names_the_limit_and_group_past_it() {
+        tree_u32(u64::from(u32::MAX) + 1, "tree arcs", 7);
     }
 }
